@@ -16,6 +16,26 @@ Conventions fixed here and relied on everywhere else:
 * The A-smoothing at a crossing is the one that splits off a circle when
   the crossing is a positive kink (so the skein rewrite
   ``D = D_switched + z * (D_A - D_B)`` is consistent with the kink laws).
+
+Canonical code (the memo key of the evaluator).  Each connected piece
+of the 4-valent graph is coded by walks in the style of Weinberg's
+coding of plane graphs.  A walk starts at an entry stub and follows the
+strand; when the strand closes, it goes on at the least-numbered
+crossing passed only once, entering one slot counterclockwise of that
+crossing's first entry, until the piece is covered.  Each visit gives
+one int token ``12 * k + 4 * role + rel``: ``k`` numbers the crossings
+in first-visit order, ``role`` is 0 over, 1 under, 2 flat, and ``rel``
+is the entry slot counterclockwise from the crossing's first entry.
+A strand's end is marked by ``-1``.  ``rel`` is counted from the first
+entry over all strands, not per strand: this fixes how two strands
+meet, and so tells apart multi-component diagrams whose strands are
+alike one by one.  The tokens rebuild the piece up to relabelling, so
+the code is complete.  The piece's code is the least token list over
+all starts; only starts with the least first token are tried, and a
+walk stops as soon as its prefix exceeds the best so far.  Codes of the
+pieces are sorted and joined, and ``;loops:k`` records the free loops.
+A walk costs O(n), so a piece costs O(n) per start it tries and
+O(n^2) only when many starts tie, as on a symmetric torus closure.
 """
 
 from __future__ import annotations
@@ -36,10 +56,6 @@ class ParseError(ValueError):
         if pos is not None:
             message = f"{message} (at position {pos})"
         super().__init__(message)
-
-
-def _pass_through(_over) -> tuple[tuple[int, int], tuple[int, int]]:
-    return ((0, 2), (1, 3))
 
 
 class FramedDiagram:
@@ -409,81 +425,94 @@ SingularDiagram = FramedDiagram
 # Canonical codes
 
 
-def _component_tokens(d: FramedDiagram, start: HalfEdge,
-                      numbering: dict[int, int]) -> tuple[tuple, dict[int, int]]:
-    """Token sequence for the strand through ``start``, extending the
-    crossing numbering in first-visit order."""
-    numbering = dict(numbering)
-    tokens = []
-    h = start
+def _walk_tokens(crossings: tuple, mate: list[int], start: int,
+                 best: Optional[list[int]], num: list[int], first: list[int],
+                 twice: list[bool]) -> Optional[list[int]]:
+    """Tokens of the walk from entry stub ``start`` over its connected
+    piece, or ``None`` as soon as its prefix exceeds ``best``.
+
+    Stubs are ints ``4 * crossing + slot`` and ``mate`` maps a stub to
+    the stub at the other end of its arc.  ``num`` (crossing number, -1
+    when not yet met), ``first`` (slot of the first entry) and ``twice``
+    (passed both ways) are scratch arrays indexed by crossing; the walk
+    leaves ``num`` and ``twice`` as it found them.
+    """
+    order: list[int] = []  # crossings by number
+    toks: list[int] = []
+    tied = best is not None
+    resume = 0  # every crossing numbered below this is passed both ways
+    h = home = start
     while True:
-        c, s = h
-        if c not in numbering:
-            numbering[c] = len(numbering)
-        over = d.crossings[c]
-        if over is None:
-            role = 2
-        elif (s % 2) == over:
-            role = 0  # over passage
-        else:
-            role = 1  # under passage
-        tokens.append((c, role, s))
-        h = d.mates[(c, (s + 2) % 4)]
-        if h == start:
-            break
-    # Second pass: replace crossing ids by numbering and raw slots by the
-    # slot offset between second and first entry.
-    first_slot: dict[int, int] = {}
-    final = []
-    for c, role, s in tokens:
-        if c not in first_slot:
-            first_slot[c] = s
+        c, s = h >> 2, h & 3
+        k = num[c]
+        if k < 0:
+            k = num[c] = len(order)
+            order.append(c)
+            first[c] = s
             rel = 0
         else:
-            rel = (s - first_slot[c]) % 4
-        final.append((numbering[c], role, rel))
-    return tuple(final), numbering
-
-
-def _best_encoding(d: FramedDiagram, remaining: set[HalfEdge],
-                   numbering: dict[int, int]) -> tuple:
-    """Lexicographically least encoding of the remaining strands."""
-    if not remaining:
-        return ()
-    best = None
-    # Group remaining stubs by strand so each candidate walk is generated
-    # from every possible start (this covers both directions).
-    candidates = []
-    for start in sorted(remaining):
-        toks, numb = _component_tokens(d, start, numbering)
-        candidates.append((toks, numb, start))
-    least = min(c[0] for c in candidates)
-    for toks, numb, start in candidates:
-        if toks != least:
-            continue
-        comp_stubs = set()
-        h = start
-        while True:
-            c, s = h
-            comp_stubs.add((c, s))
-            comp_stubs.add((c, (s + 2) % 4))
-            h = d.mates[(c, (s + 2) % 4)]
-            if h == start:
+            twice[c] = True
+            rel = (s - first[c]) & 3
+        over = crossings[c]
+        tok = 12 * k + 4 * (2 if over is None else (s & 1) ^ over) + rel
+        if tied:
+            b = best[len(toks)]
+            if tok > b:
+                toks = None
                 break
-        rest = _best_encoding(d, remaining - comp_stubs, numb)
-        cand = (toks,) + rest
-        if best is None or cand < best:
-            best = cand
-    return best
+            tied = tok == b
+        toks.append(tok)
+        h = mate[h ^ 2]
+        if h != home:
+            continue
+        # The strand closed: mark it, then go on one slot counterclockwise
+        # of the first entry of the least crossing passed only once.
+        if tied:
+            tied = best[len(toks)] == -1
+        toks.append(-1)
+        while resume < len(order) and twice[order[resume]]:
+            resume += 1
+        if resume == len(order):
+            break
+        c = order[resume]
+        h = home = 4 * c + ((first[c] + 1) & 3)
+    for c in order:
+        num[c] = -1
+        twice[c] = False
+    return toks
+
+
+def _piece_code(crossings: tuple, mate: list[int], piece: list[int]) -> str:
+    """Least walk code of one connected piece over all its starts.
+
+    Only entries with the least first token can win: the over passages
+    when the piece has a resolved crossing, every entry otherwise.
+    """
+    roles = {h: 2 if crossings[c] is None else (h & 1) ^ crossings[c]
+             for c in piece for h in range(4 * c, 4 * c + 4)}
+    least = min(roles.values())
+    n = len(crossings)
+    num, first, twice = [-1] * n, [0] * n, [False] * n
+    best = None
+    for start, role in roles.items():
+        if role == least:
+            toks = _walk_tokens(crossings, mate, start, best, num, first, twice)
+            if toks is not None:
+                best = toks
+    return " ".join("|" if t < 0 else str(t) for t in best)
 
 
 def _canonical_code(d: FramedDiagram) -> str:
     if d.n_crossings == 0:
         return f"loops:{d.free_loops}"
-    enc = _best_encoding(d, set(d.half_edges()), {})
-    comps = ["|".join(f"{n}{'OUF'[r]}{rel}" for (n, r, rel) in toks)
-             for toks in enc]
-    return ";".join(comps) + f";loops:{d.free_loops}"
+    mate = [0] * (4 * d.n_crossings)
+    for (c1, s1), (c2, s2) in d.mates.items():
+        mate[4 * c1 + s1] = 4 * c2 + s2
+    pieces: dict[int, list[int]] = {}
+    for c, root in d._crossing_components().items():
+        pieces.setdefault(root, []).append(c)
+    codes = sorted(_piece_code(d.crossings, mate, p) for p in pieces.values())
+    return ";".join(codes) + f";loops:{d.free_loops}"
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +599,6 @@ def _restrict(d: FramedDiagram, keep: set[int], free_loops: int) -> FramedDiagra
 class Bookkeeping:
     kind: str  # "kink" | "delta" | "split" | "none"
     kink_sign: int = 0
-    delta_count: int = 0
     remainder: FramedDiagram | None = None
 
 
@@ -579,7 +607,7 @@ def apply_reduction(d: FramedDiagram, move: Reduction) -> tuple[FramedDiagram, B
         if d.free_loops < 1:
             raise DiagramError("stale move: no free loop")
         return (FramedDiagram(d.crossings, d.arcs, d.free_loops - 1, validate=False),
-                Bookkeeping("delta", delta_count=1))
+                Bookkeeping("delta"))
     if isinstance(move, DisjointSplit):
         return move.d1, Bookkeeping("split", remainder=move.d2)
     if isinstance(move, R1Kink):

@@ -164,16 +164,20 @@ def specialize_to_bracket(p: LaurentPoly) -> BracketPoly:
 
 def _divide_by_z(num: dict[int, Fraction]) -> dict[int, Fraction]:
     # Divide a one-variable Laurent polynomial by A - A^-1, exactly.
+    # An exact quotient has degrees from min(num) + 1 to max(num) - 1.
     if not num:
         return {}
     quot: dict[int, Fraction] = {}
     rem = dict(num)
+    bottom = min(num)
     while rem:
         top = max(rem)
         c = rem.pop(top)
         if c == 0:
             continue
         qd = top - 1
+        if qd <= bottom:
+            raise ArithmeticError("division by A - A^-1 is not exact")
         quot[qd] = quot.get(qd, Fraction(0)) + c
         low = qd - 1
         rem[low] = rem.get(low, Fraction(0)) + c

@@ -212,7 +212,23 @@ def complexity_bound(d: FramedDiagram) -> Complexity:
 
 
 class MemoTable(dict):
-    """Memo map with the single-valuedness invariant."""
+    """Memo map with the single-valuedness invariant.
+
+    Its values belong to one parameter set: the first evaluation that
+    uses the table binds it, and a later one under other parameters is
+    refused.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params: Optional[SkeinParams] = None
+
+    def bind(self, params: SkeinParams) -> None:
+        if self.params is None:
+            self.params = params
+        elif self.params != params:
+            raise ValueError("memo table holds values for other skein "
+                             "parameters")
 
     def __setitem__(self, key, value):
         if key in self and super().__getitem__(key) != value:
@@ -247,6 +263,7 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     if d.n_crossings == 0 and d.free_loops == 0:
         raise DiagramError("empty diagram has no invariant value")
     memo = MemoTable() if memo is None else memo
+    memo.bind(params)
     nodes = 0
 
     def go(cur: FramedDiagram):

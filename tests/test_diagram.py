@@ -56,30 +56,70 @@ class TestConstruction:
         assert d.switch_crossing(0).crossing_sign(0) == -1
 
 
+# Closures with two and three strands: the code must fix how the
+# strands meet, not only each strand on its own.
+MULTI = ["s1 s1 s1 s1", "s1 s2^-1 s1 s2 s2", "s1 s1 s2 s2",
+         "s1 s2^-1 s1 s1 s2^-1 s1",
+         "s2 s2 s1^-1 s2 s2 s1^-1 s2 s2 s1^-1 s1^-1 s2 s2^-1"]
+
+
+def relabeled(d, perm, rot, rng=None):
+    """The same diagram with crossing ``c`` renamed ``perm[c]`` and its
+    slots turned ``rot[c]`` steps clockwise; ``rng`` also shuffles the
+    arcs and their ends."""
+    def stub(h):
+        c, s = h
+        return (perm[c], (s - rot[c]) % 4)
+
+    arcs = [(stub(a), stub(b)) for a, b in d.arcs]
+    if rng is not None:
+        arcs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in arcs]
+        rng.shuffle(arcs)
+    crossings = [None] * d.n_crossings
+    for c, over in enumerate(d.crossings):
+        crossings[perm[c]] = None if over is None else over ^ (rot[c] % 2)
+    return FramedDiagram(crossings, arcs, d.free_loops)
+
+
 class TestCanonicalCode:
-    @given(st.sampled_from(WORDS), st.randoms())
-    @settings(max_examples=60)
+    @given(st.sampled_from(WORDS + MULTI), st.randoms())
+    @settings(max_examples=100)
     def test_invariant_under_relabeling(self, word, rng):
         d = braid(word)
         n = d.n_crossings
         perm = list(range(n))
         rng.shuffle(perm)
-        arcs = []
-        for (c1, s1), (c2, s2) in d.arcs:
-            a, b = (perm[c1], s1), (perm[c2], s2)
-            if rng.random() < 0.5:
-                a, b = b, a
-            arcs.append((a, b))
-        rng.shuffle(arcs)
-        crossings = [None] * n
+        rot = [rng.randrange(4) for _ in range(n)]
+        assert relabeled(d, perm, rot, rng).canonical_code() == \
+            d.canonical_code()
+
+    @pytest.mark.parametrize("word", MULTI)
+    def test_turning_one_crossing(self, word):
+        # one slot turn moves the over-strand to the other slot pair
+        d = braid(word)
+        n = d.n_crossings
         for c in range(n):
-            crossings[perm[c]] = d.crossings[c]
-        relabeled = FramedDiagram(crossings, arcs, d.free_loops)
-        assert relabeled.canonical_code() == d.canonical_code()
+            rot = [1 if i == c else 0 for i in range(n)]
+            turned = relabeled(d, list(range(n)), rot)
+            assert turned.crossings[c] == 1 - d.crossings[c]
+            assert turned.canonical_code() == d.canonical_code()
+
+    def test_disjoint_union_order(self):
+        a, b = braid(TREFOIL), braid(MULTI[1]).add_free_loops(1)
+        assert a.disjoint_union(b).canonical_code() == \
+            b.disjoint_union(a).canonical_code()
 
     def test_distinguishes_mirror(self):
         assert braid(TREFOIL).canonical_code() != \
             braid("s1^-1 s1^-1 s1^-1").canonical_code()
+
+    def test_distinguishes_link_mirror(self):
+        d = braid(MULTI[1])
+        mirror = d
+        for c in range(d.n_crossings):
+            mirror = mirror.switch_crossing(c)
+        assert len(d.strand_components()) == 2
+        assert mirror.canonical_code() != d.canonical_code()
 
     def test_bare_unknot_code(self):
         assert parse_diagram("O", "pd").canonical_code() == "loops:1"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from framedskein.diagram import DiagramError, FramedDiagram, parse_diagram
 from framedskein.oracle import (
     BracketPoly,
+    _divide_by_z,
     bracket_statesum,
     specialization_check,
     specialize_to_bracket,
@@ -93,3 +95,41 @@ class TestSpecialization:
         p = evaluate_laurent(braid("s1 s1"))
         assert p.min_z_degree() < 0
         assert specialize_to_bracket(p) == BracketPoly({4: -1, -4: -1})
+
+    def test_division_by_z(self):
+        # (A - A^-1) * (A^2 + 1) = A^3 - A^-1
+        assert _divide_by_z({3: Fraction(1), -1: Fraction(-1)}) == \
+            {2: 1, 0: 1}
+
+    def test_inexact_division_raises(self):
+        for num in ({0: Fraction(1)}, {2: Fraction(1), 0: Fraction(1)}):
+            with pytest.raises(ArithmeticError):
+                _divide_by_z(num)
+
+
+# A 3-component closure whose skein tree held two diagrams that the
+# canonical code did not tell apart, so the memo returned a wrong value.
+COLLIDING = "s2 s2 s1^-1 s2 s2 s1^-1 s2 s2 s1^-1 s1^-1 s2 s2^-1"
+
+
+class TestCodeCollisions:
+    def test_engine_matches_statesum(self):
+        assert specialization_check(braid(COLLIDING))
+
+    def test_one_bracket_per_code(self, monkeypatch):
+        # Every diagram the memo sees, grouped by code: diagrams sharing a
+        # code must share their state sum, which knows nothing of codes.
+        seen = []
+        code = FramedDiagram.canonical_code
+
+        def recording(d):
+            seen.append(d)
+            return code(d)
+
+        monkeypatch.setattr(FramedDiagram, "canonical_code", recording)
+        evaluate_laurent(braid(COLLIDING))
+        brackets: dict[str, set] = {}
+        for d in seen:
+            brackets.setdefault(code(d), set()).add(bracket_statesum(d))
+        assert len(brackets) > 50
+        assert all(len(b) == 1 for b in brackets.values())

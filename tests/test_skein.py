@@ -128,6 +128,20 @@ class TestMachinery:
         with pytest.raises(AssertionError):
             memo["k"] = A
 
+    def test_memo_bound_to_params(self):
+        memo = MemoTable()
+        laurent = default_params("laurent")
+        evaluate(braid("s1 s1"), laurent, memo=memo)
+        assert memo.params == laurent
+        evaluate(braid("s1 s1 s1"), default_params("laurent"), memo=memo)
+        with pytest.raises(ValueError):
+            evaluate(braid("s1 s1"), default_params("series", n=0, order=4),
+                     memo=memo)
+        series = MemoTable()
+        got = evaluate(braid("s1 s1"), default_params("series", n=0, order=4),
+                       memo=series)
+        assert got == evaluate_series(braid("s1 s1"), 0, 4)
+
     def test_flat_diagram_rejected(self):
         with pytest.raises(DiagramError):
             evaluate_laurent(braid("s1 s1 s1").make_flat(0))
