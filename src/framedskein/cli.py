@@ -1,7 +1,7 @@
 """Command-line front end: eval, series, bracket, verify, corpus.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 node
-budget exceeded.  All output is deterministic for a fixed seed.
+Exit codes: 0 success, 1 verification failure, 2 parse or input error,
+3 node budget exceeded.  All output is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 import zlib
 
 from . import corpus as corpus_mod
-from .diagram import ParseError, parse_diagram
+from .diagram import DiagramError, ParseError, parse_diagram
 from .oracle import bracket_statesum, specialization_check
 from .perturb import random_perturbation
 from .ring import laurent_to_json, series_to_json
@@ -45,7 +45,11 @@ def _node_budget(args) -> int:
     if args.node_budget is not None:
         return args.node_budget
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(
+                f"SKEIN_NODE_BUDGET is not an integer: {env!r}") from None
     return DEFAULT_NODE_BUDGET
 
 
@@ -256,8 +260,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as e:
-        pos = f" at position {e.pos}" if getattr(e, "pos", None) is not None else ""
-        print(f"parse error{pos}: {e}", file=sys.stderr)
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except DiagramError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as e:
         print(f"budget error: {e}", file=sys.stderr)

@@ -217,9 +217,6 @@ class FramedDiagram:
             raise DiagramError(f"crossing {c} not visited exactly twice")
         return entries
 
-    def is_self_crossing(self, c: int) -> bool:
-        return len(self.component_of_crossing(c)) == 1
-
     def crossing_sign(self, c: int) -> int:
         """Sign of a resolved self-crossing (orientation independent)."""
         over = self.crossings[c]
@@ -559,9 +556,8 @@ def detect_reduction(d: FramedDiagram) -> Optional[Reduction]:
             d2 = _restrict(d, set(range(d.n_crossings)) - first,
                            free_loops=d.free_loops)
             return DisjointSplit(d1, d2)
-    faces = d.faces()
     r2 = None
-    for face in sorted(faces):
+    for face in d.faces():
         if len(face) == 1:
             h = face[0]
             m = d.mates[h]
@@ -574,15 +570,24 @@ def detect_reduction(d: FramedDiagram) -> Optional[Reduction]:
             sign = 1 if over == (s0 + 1) % 2 else -1
             return R1Kink(c, sign)
         if len(face) == 2 and r2 is None:
-            e1, e2 = face
-            c2, s2in = d.mates[e1]
-            c1, s1out = e1
-            if c1 != c2 and d.crossings[c1] is not None and d.crossings[c2] is not None:
-                over1 = (s1out % 2) == d.crossings[c1]
-                over2 = (s2in % 2) == d.crossings[c2]
-                if over1 == over2:
-                    r2 = R2Pair(min(c1, c2), max(c1, c2))
+            r2 = untwisted_bigon(d, face)
     return r2
+
+
+def untwisted_bigon(d: FramedDiagram, face: list[HalfEdge]) -> Optional[R2Pair]:
+    """The R2 move that removes a 2-gon face, or ``None`` when the face is
+    twisted (one strand passes over at one corner and under at the other),
+    has a flat corner, or joins a crossing to itself."""
+    e1, _ = face
+    c2, s2in = d.mates[e1]
+    c1, s1out = e1
+    if c1 == c2 or d.crossings[c1] is None or d.crossings[c2] is None:
+        return None
+    over1 = (s1out % 2) == d.crossings[c1]
+    over2 = (s2in % 2) == d.crossings[c2]
+    if over1 != over2:
+        return None
+    return R2Pair(min(c1, c2), max(c1, c2))
 
 
 def _restrict(d: FramedDiagram, keep: set[int], free_loops: int) -> FramedDiagram:
@@ -649,7 +654,7 @@ def _parse_pd(text: str) -> FramedDiagram:
             pos += len(raw_line) + 1
             continue
         tag = line[0]
-        if tag not in ("X", "F") or not (line[1] == "[" and line.endswith("]")):
+        if tag not in ("X", "F") or not (line[1:2] == "[" and line.endswith("]")):
             raise ParseError(f"bad line {line!r}", pos)
         body = line[2:-1]
         labels = tuple(p.strip() for p in body.split(","))

@@ -16,6 +16,7 @@ from .diagram import (
     HalfEdge,
     R2Pair,
     apply_reduction,
+    untwisted_bigon,
 )
 
 
@@ -62,8 +63,9 @@ def _try_poke(d: FramedDiagram, e1: HalfEdge, e2: HalfEdge,
     except DiagramError:
         return None
     # The poke must be immediately removable and give back the original.
-    move = _find_r2(cand, c1, c2)
-    if move is None:
+    move = R2Pair(c1, c2)
+    if not any(len(f) == 2 and untwisted_bigon(cand, f) == move
+               for f in cand.faces()):
         return None
     back, _ = apply_reduction(cand, move)
     if back.canonical_code() != d.canonical_code():
@@ -71,42 +73,15 @@ def _try_poke(d: FramedDiagram, e1: HalfEdge, e2: HalfEdge,
     return cand
 
 
-def _find_r2(d: FramedDiagram, c1: int, c2: int) -> R2Pair | None:
-    for face in d.faces():
-        if len(face) != 2:
-            continue
-        e1, e2 = face
-        a, s2in = d.mates[e1]
-        b, s1out = e1
-        if {a, b} != {c1, c2}:
-            continue
-        over1 = (s1out % 2) == d.crossings[b]
-        over2 = (s2in % 2) == d.crossings[a]
-        if over1 == over2:
-            return R2Pair(min(a, b), max(a, b))
-    return None
-
-
 def r2_removals(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All untwisted-bigon removals (independent of reduction priority)."""
     seen = set()
     for face in d.faces():
-        if len(face) != 2:
+        move = untwisted_bigon(d, face) if len(face) == 2 else None
+        if move is None or move in seen:
             continue
-        e1, e2 = face
-        c2, s2in = d.mates[e1]
-        c1, s1out = e1
-        if c1 == c2 or d.crossings[c1] is None or d.crossings[c2] is None:
-            continue
-        over1 = (s1out % 2) == d.crossings[c1]
-        over2 = (s2in % 2) == d.crossings[c2]
-        if over1 != over2:
-            continue
-        key = (min(c1, c2), max(c1, c2))
-        if key in seen:
-            continue
-        seen.add(key)
-        reduced, _ = apply_reduction(d, R2Pair(*key))
+        seen.add(move)
+        reduced, _ = apply_reduction(d, move)
         yield reduced
 
 

@@ -8,6 +8,10 @@ the descending-diagram strategy: reduce whenever a crossing-removing move
 exists, otherwise switch the first crossing met as an under-strand in the
 deterministic traversal.  The switch count of that strategy upper-bounds
 the crossing-change distance used in the lexicographic induction.
+
+Reduction chains are followed in a loop, not by recursion, so the stack
+grows only at branch points and split remainders; every diagram on a
+chain is still memoized under its canonical code.
 """
 
 from __future__ import annotations
@@ -172,13 +176,10 @@ class Complexity:
 def select_crossing(d: FramedDiagram) -> tuple[int, dict]:
     """First crossing met as an under-strand in the descending traversal.
 
-    Only defined on irreducible diagrams with at least one crossing that
-    are not already descending.
+    Only defined on irreducible diagrams that are not already descending.
     """
-    if d.n_crossings == 0 or detect_reduction(d) is not None:
-        raise DiagramError("reducible or resolved")
     bad = d.bad_crossings()
-    if not bad:
+    if not bad or detect_reduction(d) is not None:
         raise DiagramError("reducible or resolved")
     return bad[0], {"switches_remaining": len(bad)}
 
@@ -194,16 +195,13 @@ def complexity_bound(d: FramedDiagram) -> Complexity:
         if red is not None:
             smaller, bk = apply_reduction(cur, red)
             stack.append(smaller)
-            if bk.kind == "split":
+            if bk.remainder is not None:
                 stack.append(bk.remainder)
             continue
-        if cur.n_crossings == 0:
-            continue
         bad = cur.bad_crossings()
-        if not bad:
-            continue
-        u += 1
-        stack.append(cur.switch_crossing(bad[0]))
+        if bad:
+            u += 1
+            stack.append(cur.switch_crossing(bad[0]))
     return Complexity(u, d.n_crossings)
 
 
@@ -267,48 +265,54 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     nodes = 0
 
     def go(cur: FramedDiagram):
+        # Follow the reduction chain down to a memo hit, a descending leaf
+        # or a branch point, then multiply the factors back up it.
         nonlocal nodes
-        code = cur.canonical_code()
-        if code in memo:
-            return memo[code]
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"skein tree exceeded the node budget of {budget}")
-        red = detect_reduction(cur)
-        if red is not None:
-            smaller, bk = apply_reduction(cur, red)
+        chain: list[tuple[str, Bookkeeping]] = []
+        while True:
+            code = cur.canonical_code()
+            if code in memo:
+                val = memo[code]
+                break
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"skein tree exceeded the node budget of {budget}")
+            red = detect_reduction(cur)
+            if red is None:
+                val = memo[code] = expand(cur)
+                break
+            cur, bk = apply_reduction(cur, red)
+            chain.append((code, bk))
+        for code, bk in reversed(chain):
             if bk.kind == "delta":
-                val = params.delta * go(smaller)
+                val = params.delta * val
             elif bk.kind == "kink":
-                val = params.kink_factor(bk.kink_sign) * go(smaller)
+                val = params.kink_factor(bk.kink_sign) * val
             elif bk.kind == "split":
-                val = params.delta * go(smaller) * go(bk.remainder)
-            else:
-                val = go(smaller)
-        elif cur.n_crossings == 0:
-            # free loop reductions leave exactly one circle
-            val = params.unknot_value
-        else:
-            bad = cur.bad_crossings()
-            if not bad:
-                # A globally descending diagram is a stacked framed unlink;
-                # the kink and loop laws force its value.
-                w = cur.total_self_writhe()
-                m = cur.n_components()
-                val = (params.alpha ** w) * (params.delta ** (m - 1)) \
-                    * params.unknot_value
-            else:
-                c = bad[0] if select is None else select(cur)
-                switched = cur.switch_crossing(c)
-                a_sm = cur.smooth(c, "A")
-                b_sm = cur.smooth(c, "B")
-                if on_expand is not None:
-                    for child in (switched, a_sm, b_sm):
-                        on_expand(cur, child)
-                val = go(switched) + params.skein_z * (go(a_sm) - go(b_sm))
-        memo[code] = val
+                val = params.delta * val * go(bk.remainder)
+            memo[code] = val
         return val
+
+    def expand(cur: FramedDiagram):
+        # value of an irreducible diagram: a leaf or a branch point
+        bad = cur.bad_crossings()
+        if not bad:
+            # A globally descending diagram is a stacked framed unlink;
+            # the kink and loop laws force its value.  A crossingless
+            # irreducible diagram is a single circle (m = 1, w = 0).
+            w = cur.total_self_writhe()
+            m = cur.n_components()
+            return (params.alpha ** w) * (params.delta ** (m - 1)) \
+                * params.unknot_value
+        c = bad[0] if select is None else select(cur)
+        switched = cur.switch_crossing(c)
+        a_sm = cur.smooth(c, "A")
+        b_sm = cur.smooth(c, "B")
+        if on_expand is not None:
+            for child in (switched, a_sm, b_sm):
+                on_expand(cur, child)
+        return go(switched) + params.skein_z * (go(a_sm) - go(b_sm))
 
     return go(d)
 

@@ -77,6 +77,29 @@ class TestExitCodes:
                            "--format", "braid", "--node-budget", "2")
         assert code == EXIT_BUDGET and "budget" in err
 
+    def test_short_pd_line(self, capsys):
+        code, out, err = run(capsys, "eval", "--text", "X")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error") and err.count("\n") == 1
+
+    def test_parse_error_position_once(self, capsys):
+        code, _, err = run(capsys, "eval", "--text", "X[1,2")
+        assert code == EXIT_PARSE
+        assert err.count("position") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "series", "bracket"])
+    @pytest.mark.parametrize("text", ["F[1,2,2,1]", ""])
+    def test_diagram_error_is_input_error(self, capsys, command, text):
+        code, out, err = run(capsys, command, "--text", text)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("input error") and err.count("\n") == 1
+
+    def test_budget_env_var_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("SKEIN_NODE_BUDGET", "lots")
+        code, out, err = run(capsys, "eval", "--text", "O")
+        assert code == EXIT_PARSE and out == ""
+        assert "SKEIN_NODE_BUDGET" in err and err.count("\n") == 1
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEIN_NODE_BUDGET", "2")
         code, _, _ = run(capsys, "eval", "--text", "s1 s2^-1 s1 s2^-1",

@@ -230,6 +230,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_diagram("X[1,2,3]", "pd")
 
+    @pytest.mark.parametrize("text", ["X", "F", "X[", "O\nX"])
+    def test_short_pd_line(self, text):
+        with pytest.raises(ParseError):
+            parse_diagram(text, "pd")
+
+    def test_parse_error_names_position_once(self):
+        with pytest.raises(ParseError) as info:
+            parse_diagram("O\nX[1,2", "pd")
+        assert info.value.pos == 2
+        assert str(info.value).count("position") == 1
+
     def test_bad_braid_token(self):
         with pytest.raises(ParseError):
             parse_diagram("s0 q2", "braid")

@@ -1,3 +1,6 @@
+import inspect
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,18 @@ def braid(word):
 A = LaurentPoly.var_a()
 Z = LaurentPoly.var_z()
 ONE = LaurentPoly.one()
+
+
+def kink_chain(n, seed):
+    """An unknot with ``n`` kinks of random signs on random arcs, and its
+    writhe."""
+    rng = random.Random(seed)
+    d, w = braid("s1"), 1
+    for _ in range(n - 1):
+        sign = rng.choice((1, -1))
+        d = d.add_kink(d.arcs[rng.randrange(len(d.arcs))], sign)
+        w += sign
+    return d, w
 
 
 class TestWorkedExamples:
@@ -161,6 +176,34 @@ class TestMachinery:
         assert complexity_bound(parse_diagram("O", "pd")).as_tuple() == (0, 0)
         assert complexity_bound(braid("s1")).as_tuple() == (0, 1)
         assert complexity_bound(braid("s1 s1 s1")).as_tuple() == (1, 3)
+
+
+class TestClosedForms:
+    """Families whose values follow from the skein and kink laws alone,
+    computed here without the evaluator."""
+
+    def test_torus_closures(self):
+        # T(2,k): F_k = F_(k-2) + z (F_(k-1) - a^-(k-1)), F_0 = delta,
+        # F_1 = a.
+        forms = [ONE + (A - A ** -1) * Z ** -1, A]
+        for k in range(2, 21):
+            forms.append(forms[k - 2] + Z * (forms[k - 1] - A ** -(k - 1)))
+        for k, form in enumerate(forms):
+            assert evaluate_laurent(braid(f"s1^{k}")) == form, k
+
+    def test_kink_chain(self):
+        d, w = kink_chain(80, seed=3)
+        assert evaluate_laurent(d) == A ** w
+
+    def test_reduction_chain_needs_no_frame_per_step(self):
+        d, w = kink_chain(150, seed=5)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            got = evaluate_laurent(d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == A ** w
 
 
 class TestCrossRing:
