@@ -5,6 +5,19 @@ stubs in counterclockwise cyclic order (slots 0..3) and a flag saying
 which opposite pair of stubs is the over-strand; arcs form a perfect
 matching on the stubs.  Crossingless circles are tracked by a counter.
 
+Representation.  Slot ``s`` of crossing ``c`` is the int stub
+``4 * c + s``, so ``h >> 2`` is its crossing, ``h & 3`` its slot and
+``h ^ 2`` the opposite slot.  A diagram stores three things: the over
+flags ``crossings``, the int tuple ``mate`` (``mate[h]`` is the stub at
+the other end of ``h``'s arc) and the count ``free_loops``.  ``arcs`` is
+a derived view, the sorted pairs of ``(crossing, slot)`` stubs, that the
+parsers, ``serialize_pd`` and ``add_kink`` read.  Faces, strands and
+connected pieces are computed at most once per diagram.  Only the public
+constructor ``FramedDiagram(crossings, arcs, free_loops)`` validates
+(stub range, perfect matching, over flags, planarity).  The local moves
+build their results with the private ``FramedDiagram._make``, which
+shares the parent's ``mate`` tuple when a move leaves it unchanged.
+
 Conventions fixed here and relied on everywhere else:
 
 * A strand entering a crossing at slot ``s`` leaves at slot ``(s + 2) % 4``.
@@ -61,24 +74,47 @@ class ParseError(ValueError):
 class FramedDiagram:
     """Immutable planar link diagram; all move operations return copies."""
 
+    __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_code",
+                 "_components", "_pieces", "_faces")
+
     def __init__(self, crossings: Iterable[Optional[int]],
                  arcs: Iterable[tuple[HalfEdge, HalfEdge]],
-                 free_loops: int = 0, validate: bool = True):
-        self.crossings: tuple[Optional[int], ...] = tuple(crossings)
-        mates: dict[HalfEdge, HalfEdge] = {}
-        arc_set = set()
+                 free_loops: int = 0):
+        crossings = tuple(crossings)
+        n = len(crossings)
+        mate = [-1] * (4 * n)
         for h1, h2 in arcs:
-            h1, h2 = tuple(h1), tuple(h2)
-            arc_set.add(tuple(sorted((h1, h2))))
-            mates[h1] = h2
-            mates[h2] = h1
-        self.arcs: tuple[tuple[HalfEdge, HalfEdge], ...] = tuple(sorted(arc_set))
-        self.mates = mates
+            i, j = _stub(h1, n), _stub(h2, n)
+            if i == j or mate[i] not in (-1, j) or mate[j] not in (-1, i):
+                raise DiagramError("arc matching is not a fixed-point-free involution")
+            mate[i], mate[j] = j, i
+        if -1 in mate:
+            raise DiagramError("arcs are not a perfect matching on the half-edges")
+        if free_loops < 0:
+            raise DiagramError("negative free loop count")
+        for over in crossings:
+            if over not in (0, 1, None):
+                raise DiagramError(f"bad over flag {over!r}")
+        self._store(crossings, tuple(mate), free_loops)
+        if not self._is_planar():
+            raise DiagramError("diagram is not planar (Euler count failed)")
+
+    @classmethod
+    def _make(cls, crossings: tuple, mate: tuple[int, ...],
+              free_loops: int) -> "FramedDiagram":
+        """The private constructor: a diagram from its stored form, with
+        no checks.  Moves whose result is a diagram by construction use
+        it; ``perturb`` also checks its candidates with ``_is_planar``."""
+        d = object.__new__(cls)
+        d._store(crossings, mate, free_loops)
+        return d
+
+    def _store(self, crossings, mate, free_loops) -> None:
+        self.crossings: tuple[Optional[int], ...] = crossings
+        self.mate: tuple[int, ...] = mate
         self.free_loops = free_loops
-        self._code: str | None = None
-        self._components: tuple[tuple[HalfEdge, ...], ...] | None = None
-        if validate:
-            self._validate()
+        self._arcs = self._code = self._components = None
+        self._pieces = self._faces = None
 
     # -- structure ---------------------------------------------------------
 
@@ -86,8 +122,13 @@ class FramedDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def half_edges(self) -> list[HalfEdge]:
-        return [(c, s) for c in range(self.n_crossings) for s in range(4)]
+    @property
+    def arcs(self) -> tuple[tuple[HalfEdge, HalfEdge], ...]:
+        """Arcs as sorted pairs of ``(crossing, slot)`` stubs."""
+        if self._arcs is None:
+            self._arcs = tuple(((i >> 2, i & 3), (j >> 2, j & 3))
+                               for i, j in enumerate(self.mate) if i < j)
+        return self._arcs
 
     def flat_crossings(self) -> list[int]:
         return [c for c, over in enumerate(self.crossings) if over is None]
@@ -95,104 +136,84 @@ class FramedDiagram:
     def is_singular(self) -> bool:
         return bool(self.flat_crossings())
 
-    def _validate(self) -> None:
-        if self.free_loops < 0:
-            raise DiagramError("negative free loop count")
-        hes = set(self.half_edges())
-        if set(self.mates) != hes:
-            raise DiagramError("arcs are not a perfect matching on the half-edges")
-        for h, m in self.mates.items():
-            if m == h or self.mates[m] != h:
-                raise DiagramError("arc matching is not a fixed-point-free involution")
-        for over in self.crossings:
-            if over not in (0, 1, None):
-                raise DiagramError(f"bad over flag {over!r}")
-        self._check_planar()
-
-    def _check_planar(self) -> None:
-        # Euler count per connected component of the 4-valent graph.
-        if self.n_crossings == 0:
-            return
-        comp_of = self._crossing_components()
-        faces_per: dict[int, int] = {}
+    def _is_planar(self) -> bool:
+        # Euler count per connected piece of the 4-valent graph: with
+        # E = 2V edges, V - E + F = 2 means F = V + 2.
+        pieces = self._crossing_components()
+        surplus = dict.fromkeys(pieces, 0)
+        for root in pieces:
+            surplus[root] -= 1
         for face in self.faces():
-            c = face[0][0]
-            faces_per[comp_of[c]] = faces_per.get(comp_of[c], 0) + 1
-        counts: dict[int, int] = {}
-        for c in range(self.n_crossings):
-            counts[comp_of[c]] = counts.get(comp_of[c], 0) + 1
-        for comp, v in counts.items():
-            e = 2 * v
-            f = faces_per.get(comp, 0)
-            if v - e + f != 2:
-                raise DiagramError("diagram is not planar (Euler count failed)")
+            surplus[pieces[face[0] >> 2]] += 1
+        return all(v == 2 for v in surplus.values())
 
-    def _crossing_components(self) -> dict[int, int]:
-        parent = list(range(self.n_crossings))
+    def _crossing_components(self) -> list[int]:
+        """Root crossing of each crossing's connected piece."""
+        if self._pieces is None:
+            parent = list(range(self.n_crossings))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+            def find(x: int) -> int:
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
 
-        for (c1, _), (c2, _) in self.arcs:
-            r1, r2 = find(c1), find(c2)
-            if r1 != r2:
-                parent[r2] = r1
-        return {c: find(c) for c in range(self.n_crossings)}
+            for i, j in enumerate(self.mate):
+                if i < j:
+                    r1, r2 = find(i >> 2), find(j >> 2)
+                    if r1 != r2:
+                        parent[r2] = r1
+            self._pieces = [find(c) for c in range(self.n_crossings)]
+        return self._pieces
 
-    def faces(self) -> list[list[HalfEdge]]:
+    def faces(self) -> list[list[int]]:
         """Face boundaries of the rotation system.
 
-        A face is a cyclic list of outgoing stubs; from a stub ``h`` the
-        boundary runs along the arc to ``mate(h) = (c, s)`` and turns to
-        the stub ``(c, (s + 1) % 4)``.
+        A face is a cyclic list of outgoing stubs, starting at its least;
+        from a stub ``h`` the boundary runs along the arc to ``m = mate[h]``
+        and turns to the next slot counterclockwise at that crossing.
+        Faces come in order of their least stub.  The lists are computed
+        once and shared, so callers must not change them.
         """
-        seen: set[HalfEdge] = set()
-        out = []
-        for h0 in self.half_edges():
-            if h0 in seen:
-                continue
-            face = []
-            h = h0
-            while True:
-                face.append(h)
-                seen.add(h)
-                c, s = self.mates[h]
-                h = (c, (s + 1) % 4)
-                if h == h0:
-                    break
-            out.append(face)
-        return out
+        if self._faces is None:
+            mate = self.mate
+            seen = [False] * len(mate)
+            out = []
+            for h in range(len(mate)):
+                if seen[h]:
+                    continue
+                face = []
+                while not seen[h]:
+                    face.append(h)
+                    seen[h] = True
+                    m = mate[h]
+                    h = (m & -4) | ((m + 1) & 3)
+                out.append(face)
+            self._faces = out
+        return self._faces
 
     # -- strand traversal --------------------------------------------------
 
-    def strand_components(self) -> tuple[tuple[HalfEdge, ...], ...]:
+    def strand_components(self) -> tuple[tuple[int, ...], ...]:
         """Closed strands as tuples of entry stubs, in deterministic order.
 
-        Each component starts at its least entry stub; components are
-        sorted by that stub.  Free loops are not included.
+        Each component starts at its least entry stub; components come in
+        order of that stub.  Free loops are not included.
         """
-        if self._components is not None:
-            return self._components
-        unvisited = set(self.half_edges())
-        comps = []
-        while unvisited:
-            h0 = min(unvisited)
-            walk = []
-            h = h0
-            while True:
-                walk.append(h)
-                unvisited.discard(h)
-                c, s = h
-                exit_stub = (c, (s + 2) % 4)
-                unvisited.discard(exit_stub)
-                h = self.mates[exit_stub]
-                if h == h0:
-                    break
-            comps.append(tuple(walk))
-        self._components = tuple(sorted(comps))
+        if self._components is None:
+            mate = self.mate
+            seen = [False] * len(mate)
+            comps = []
+            for h in range(len(mate)):
+                if seen[h]:
+                    continue
+                walk = []
+                while not seen[h]:
+                    walk.append(h)
+                    seen[h] = seen[h ^ 2] = True
+                    h = mate[h ^ 2]
+                comps.append(tuple(walk))
+            self._components = tuple(comps)
         return self._components
 
     def n_components(self) -> int:
@@ -200,19 +221,13 @@ class FramedDiagram:
         return len(self.strand_components()) + self.free_loops
 
     def component_of_crossing(self, c: int) -> list[int]:
-        out = []
-        for i, comp in enumerate(self.strand_components()):
-            if any(h[0] == c for h in comp):
-                out.append(i)
-        return out
+        return [i for i, comp in enumerate(self.strand_components())
+                if any(h >> 2 == c for h in comp)]
 
     def entries_at(self, c: int) -> list[int]:
         """Entry slots of the two strand passages through crossing ``c``."""
-        entries = []
-        for comp in self.strand_components():
-            for (ci, s) in comp:
-                if ci == c:
-                    entries.append(s)
+        entries = [h & 3 for comp in self.strand_components()
+                   for h in comp if h >> 2 == c]
         if len(entries) != 2:
             raise DiagramError(f"crossing {c} not visited exactly twice")
         return entries
@@ -234,10 +249,9 @@ class FramedDiagram:
         comps = self.strand_components()
         if not 0 <= component < len(comps):
             raise DiagramError(f"unknown component {component}")
-        comp = comps[component]
         counts: dict[int, int] = {}
-        for (c, _) in comp:
-            counts[c] = counts.get(c, 0) + 1
+        for h in comps[component]:
+            counts[h >> 2] = counts.get(h >> 2, 0) + 1
         w = 0
         for c, k in counts.items():
             if k == 2:
@@ -249,13 +263,16 @@ class FramedDiagram:
 
     # -- local moves -------------------------------------------------------
 
+    def _with_over(self, c: int, over: Optional[int]) -> "FramedDiagram":
+        new = list(self.crossings)
+        new[c] = over
+        return FramedDiagram._make(tuple(new), self.mate, self.free_loops)
+
     def switch_crossing(self, c: int) -> "FramedDiagram":
         over = self.crossings[c]
         if over is None:
             raise DiagramError("cannot switch a flat crossing")
-        new = list(self.crossings)
-        new[c] = 1 - over
-        return FramedDiagram(new, self.arcs, self.free_loops, validate=False)
+        return self._with_over(c, 1 - over)
 
     def resolve_flat(self, c: int, sign: int) -> "FramedDiagram":
         """Resolve a flat crossing; ``+1`` puts slots (0, 2) on top."""
@@ -263,14 +280,10 @@ class FramedDiagram:
             raise DiagramError(f"crossing {c} is already resolved")
         if sign not in (1, -1):
             raise DiagramError("resolution sign must be +1 or -1")
-        new = list(self.crossings)
-        new[c] = 0 if sign == 1 else 1
-        return FramedDiagram(new, self.arcs, self.free_loops, validate=False)
+        return self._with_over(c, 0 if sign == 1 else 1)
 
     def make_flat(self, c: int) -> "FramedDiagram":
-        new = list(self.crossings)
-        new[c] = None
-        return FramedDiagram(new, self.arcs, self.free_loops, validate=False)
+        return self._with_over(c, None)
 
     def _smoothing_pairs(self, c: int, kind: str):
         over = self.crossings[c]
@@ -294,95 +307,64 @@ class FramedDiagram:
         Chains of arcs through deleted crossings are contracted; cycles
         that close up entirely inside deleted crossings become free loops.
         """
-        removed = set(pairings)
-        internal: dict[HalfEdge, HalfEdge] = {}
+        mate = self.mate
+        joined: dict[int, int] = {}  # stub of a deleted crossing -> its partner
         for c, pairs in pairings.items():
             for s1, s2 in pairs:
-                internal[(c, s1)] = (c, s2)
-                internal[(c, s2)] = (c, s1)
+                joined[4 * c + s1] = 4 * c + s2
+                joined[4 * c + s2] = 4 * c + s1
+        survivors = [c for c in range(self.n_crossings) if c not in pairings]
+        renum = {c: i for i, c in enumerate(survivors)}
+        new_mate = []
+        for c in survivors:
+            for m in mate[4 * c:4 * c + 4]:
+                while m in joined:
+                    m = mate[joined[m]]
+                new_mate.append(4 * renum[m >> 2] + (m & 3))
 
-        new_arcs = []
-        done: set[HalfEdge] = set()
-        for h in self.half_edges():
-            if h[0] in removed or h in done:
-                continue
-            m = self.mates[h]
-            while m[0] in removed:
-                m = self.mates[internal[m]]
-            new_arcs.append((h, m))
-            done.add(h)
-            done.add(m)
-
+        # Walk arc/partner alternately; a walk that stays inside the
+        # deleted crossings is a closed circle.
         loops = 0
-        seen: set[HalfEdge] = set()
-        for c in removed:
-            for s in range(4):
-                t = (c, s)
-                if t in seen:
-                    continue
-                # Walk arc/internal alternately; if we stay inside the
-                # removed set we found a closed circle.
-                cycle = True
-                u = t
-                while True:
-                    seen.add(u)
-                    v = internal[u]
-                    seen.add(v)
-                    u = self.mates[v]
-                    if u[0] not in removed:
-                        cycle = False
-                        break
-                    if u == t:
-                        break
-                if cycle:
-                    loops += 1
-
-        # Reindex the surviving crossings.
-        survivors = [c for c in range(self.n_crossings) if c not in removed]
-        remap = {c: i for i, c in enumerate(survivors)}
-        crossings = [self.crossings[c] for c in survivors]
-        arcs = [((remap[a[0]], a[1]), (remap[b[0]], b[1])) for a, b in new_arcs]
-        return FramedDiagram(crossings, arcs, self.free_loops + loops,
-                             validate=False)
+        seen: set[int] = set()
+        for t in joined:
+            if t in seen:
+                continue
+            u = t
+            while True:
+                v = joined[u]
+                seen.update((u, v))
+                u = mate[v]
+                if u not in joined or u == t:
+                    break
+            loops += u == t
+        return FramedDiagram._make(tuple(self.crossings[c] for c in survivors),
+                                   tuple(new_mate), self.free_loops + loops)
 
     def add_kink(self, arc: tuple[HalfEdge, HalfEdge], sign: int) -> "FramedDiagram":
         """Insert a one-crossing curl of the given sign on an arc."""
         if sign not in (1, -1):
             raise DiagramError("kink sign must be +1 or -1")
-        h1, h2 = arc
-        if self.mates.get(tuple(h1)) != tuple(h2):
+        n = self.n_crossings
+        i, j = _stub(arc[0], n), _stub(arc[1], n)
+        if self.mate[i] != j:
             raise DiagramError("not an arc of this diagram")
-        c = self.n_crossings
-        over = 1 if sign == 1 else 0
-        arcs = [a for a in self.arcs if tuple(sorted((tuple(h1), tuple(h2)))) != a]
-        arcs.extend([(tuple(h1), (c, 2)), ((c, 3), tuple(h2)), ((c, 0), (c, 1))])
-        return FramedDiagram(list(self.crossings) + [over], arcs,
-                             self.free_loops, validate=False)
+        # the new crossing's slots 2 and 3 take the arc's ends; 0-1 is the curl
+        k = 4 * n
+        mate = list(self.mate) + [k + 1, k, i, j]
+        mate[i], mate[j] = k + 2, k + 3
+        return FramedDiagram._make(self.crossings + (1 if sign == 1 else 0,),
+                                   tuple(mate), self.free_loops)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
-        return FramedDiagram(self.crossings, self.arcs, self.free_loops + k,
-                             validate=False)
+        return FramedDiagram._make(self.crossings, self.mate, self.free_loops + k)
 
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
-        off = self.n_crossings
-        crossings = list(self.crossings) + list(other.crossings)
-        arcs = list(self.arcs)
-        arcs += [((a[0] + off, a[1]), (b[0] + off, b[1])) for a, b in other.arcs]
-        return FramedDiagram(crossings, arcs,
-                             self.free_loops + other.free_loops, validate=False)
+        off = 4 * self.n_crossings
+        return FramedDiagram._make(self.crossings + other.crossings,
+                                   self.mate + tuple(m + off for m in other.mate),
+                                   self.free_loops + other.free_loops)
 
     # -- descending traversal ---------------------------------------------
-
-    def visit_order(self) -> list[tuple[int, int, bool]]:
-        """Global walk as (crossing, entry slot, first_visit) triples."""
-        seen: set[int] = set()
-        out = []
-        for comp in self.strand_components():
-            for (c, s) in comp:
-                first = c not in seen
-                seen.add(c)
-                out.append((c, s, first))
-        return out
 
     def _is_under_entry(self, c: int, s: int) -> bool:
         over = self.crossings[c]
@@ -392,10 +374,15 @@ class FramedDiagram:
 
     def bad_crossings(self) -> list[int]:
         """Crossings first met as an under-strand, in walk order."""
+        seen: set[int] = set()
         out = []
-        for c, s, first in self.visit_order():
-            if first and self._is_under_entry(c, s):
-                out.append(c)
+        for comp in self.strand_components():
+            for h in comp:
+                c = h >> 2
+                if c not in seen:
+                    seen.add(c)
+                    if self._is_under_entry(c, h & 3):
+                        out.append(c)
         return out
 
     def is_descending(self) -> bool:
@@ -414,6 +401,15 @@ class FramedDiagram:
                 f"{self.free_loops} loops)")
 
 
+def _stub(h: HalfEdge, n: int) -> int:
+    """The int stub of a ``(crossing, slot)`` pair in a diagram with ``n``
+    crossings; without the range check ``(0, 4)`` would alias ``(1, 0)``."""
+    c, s = h
+    if c not in range(n) or s not in range(4):
+        raise DiagramError(f"no half-edge {(c, s)!r} in {n} crossings")
+    return 4 * c + s
+
+
 # Flat crossings live on the same carrier; the alias documents intent.
 SingularDiagram = FramedDiagram
 
@@ -422,7 +418,7 @@ SingularDiagram = FramedDiagram
 # Canonical codes
 
 
-def _walk_tokens(crossings: tuple, mate: list[int], start: int,
+def _walk_tokens(crossings: tuple, mate: tuple[int, ...], start: int,
                  best: Optional[list[int]], num: list[int], first: list[int],
                  twice: list[bool]) -> Optional[list[int]]:
     """Tokens of the walk from entry stub ``start`` over its connected
@@ -479,7 +475,7 @@ def _walk_tokens(crossings: tuple, mate: list[int], start: int,
     return toks
 
 
-def _piece_code(crossings: tuple, mate: list[int], piece: list[int]) -> str:
+def _piece_code(crossings: tuple, mate: tuple[int, ...], piece: list[int]) -> str:
     """Least walk code of one connected piece over all its starts.
 
     Only entries with the least first token can win: the over passages
@@ -502,13 +498,10 @@ def _piece_code(crossings: tuple, mate: list[int], piece: list[int]) -> str:
 def _canonical_code(d: FramedDiagram) -> str:
     if d.n_crossings == 0:
         return f"loops:{d.free_loops}"
-    mate = [0] * (4 * d.n_crossings)
-    for (c1, s1), (c2, s2) in d.mates.items():
-        mate[4 * c1 + s1] = 4 * c2 + s2
     pieces: dict[int, list[int]] = {}
-    for c, root in d._crossing_components().items():
+    for c, root in enumerate(d._crossing_components()):
         pieces.setdefault(root, []).append(c)
-    codes = sorted(_piece_code(d.crossings, mate, p) for p in pieces.values())
+    codes = sorted(_piece_code(d.crossings, d.mate, p) for p in pieces.values())
     return ";".join(codes) + f";loops:{d.free_loops}"
 
 
@@ -547,57 +540,54 @@ def detect_reduction(d: FramedDiagram) -> Optional[Reduction]:
     free loop, disjoint split, kink removal, untwisted bigon removal."""
     if d.free_loops >= 1 and (d.n_crossings > 0 or d.free_loops >= 2):
         return FreeLoop()
-    if d.n_crossings > 0:
-        comp_of = d._crossing_components()
-        roots = sorted(set(comp_of.values()))
-        if len(roots) > 1:
-            first = {c for c in range(d.n_crossings) if comp_of[c] == roots[0]}
-            d1 = _restrict(d, first, free_loops=0)
-            d2 = _restrict(d, set(range(d.n_crossings)) - first,
-                           free_loops=d.free_loops)
-            return DisjointSplit(d1, d2)
+    pieces = d._crossing_components()
+    if pieces:
+        least = min(pieces)
+        first = [c for c, root in enumerate(pieces) if root == least]
+        if len(first) < len(pieces):
+            rest = [c for c, root in enumerate(pieces) if root != least]
+            return DisjointSplit(_restrict(d, first, free_loops=0),
+                                 _restrict(d, rest, free_loops=d.free_loops))
     r2 = None
     for face in d.faces():
         if len(face) == 1:
             h = face[0]
-            m = d.mates[h]
-            c = m[0]
-            if d.crossings[c] is None:
+            m = d.mate[h]
+            over = d.crossings[m >> 2]
+            if over is None:
                 continue
             # the loop arc joins slots (s0, s0 + 1); identify s0
-            s0 = h[1] if (m[1] - h[1]) % 4 == 1 else m[1]
-            over = d.crossings[c]
+            s0 = h & 3 if ((m - h) & 3) == 1 else m & 3
             sign = 1 if over == (s0 + 1) % 2 else -1
-            return R1Kink(c, sign)
+            return R1Kink(m >> 2, sign)
         if len(face) == 2 and r2 is None:
             r2 = untwisted_bigon(d, face)
     return r2
 
 
-def untwisted_bigon(d: FramedDiagram, face: list[HalfEdge]) -> Optional[R2Pair]:
+def untwisted_bigon(d: FramedDiagram, face: list[int]) -> Optional[R2Pair]:
     """The R2 move that removes a 2-gon face, or ``None`` when the face is
     twisted (one strand passes over at one corner and under at the other),
     has a flat corner, or joins a crossing to itself."""
     e1, _ = face
-    c2, s2in = d.mates[e1]
-    c1, s1out = e1
-    if c1 == c2 or d.crossings[c1] is None or d.crossings[c2] is None:
+    e2 = d.mate[e1]
+    c1, c2 = e1 >> 2, e2 >> 2
+    over1, over2 = d.crossings[c1], d.crossings[c2]
+    if c1 == c2 or over1 is None or over2 is None:
         return None
-    over1 = (s1out % 2) == d.crossings[c1]
-    over2 = (s2in % 2) == d.crossings[c2]
-    if over1 != over2:
+    if ((e1 & 1) == over1) != ((e2 & 1) == over2):
         return None
     return R2Pair(min(c1, c2), max(c1, c2))
 
 
-def _restrict(d: FramedDiagram, keep: set[int], free_loops: int) -> FramedDiagram:
-    remap = {c: i for i, c in enumerate(sorted(keep))}
-    crossings = [d.crossings[c] for c in sorted(keep)]
-    arcs = []
-    for a, b in d.arcs:
-        if a[0] in keep:
-            arcs.append(((remap[a[0]], a[1]), (remap[b[0]], b[1])))
-    return FramedDiagram(crossings, arcs, free_loops, validate=False)
+def _restrict(d: FramedDiagram, keep: list[int], free_loops: int) -> FramedDiagram:
+    """The sub-diagram on the crossings ``keep`` (ascending), which must be
+    a union of connected pieces."""
+    renum = {c: i for i, c in enumerate(keep)}
+    mate = tuple(4 * renum[m >> 2] + (m & 3)
+                 for c in keep for m in d.mate[4 * c:4 * c + 4])
+    return FramedDiagram._make(tuple(d.crossings[c] for c in keep), mate,
+                               free_loops)
 
 
 @dataclass(frozen=True)
@@ -611,7 +601,7 @@ def apply_reduction(d: FramedDiagram, move: Reduction) -> tuple[FramedDiagram, B
     if isinstance(move, FreeLoop):
         if d.free_loops < 1:
             raise DiagramError("stale move: no free loop")
-        return (FramedDiagram(d.crossings, d.arcs, d.free_loops - 1, validate=False),
+        return (FramedDiagram._make(d.crossings, d.mate, d.free_loops - 1),
                 Bookkeeping("delta"))
     if isinstance(move, DisjointSplit):
         return move.d1, Bookkeeping("split", remainder=move.d2)
@@ -702,7 +692,7 @@ def serialize_pd(d: FramedDiagram) -> str:
 
 def _parse_gauss(text: str) -> FramedDiagram:
     # One component per line, e.g. "O1+ U2+ O3+ U1+ O2+ U3+".
-    visits: dict[str, dict[str, tuple[int, int]]] = {}
+    visits: dict[str, list[str]] = {}  # roles of each crossing's visits
     signs: dict[str, int] = {}
     comp_tokens: list[list[tuple[str, str, int]]] = []
     for raw_line in text.splitlines():
@@ -717,17 +707,14 @@ def _parse_gauss(text: str) -> FramedDiagram:
             if name in signs and signs[name] != sign:
                 raise ParseError(f"inconsistent sign for crossing {name}")
             signs[name] = sign
+            visits.setdefault(name, []).append(role)
             toks.append((role, name, sign))
         comp_tokens.append(toks)
     names = sorted(signs, key=lambda n: (len(n), n))
     index = {n: i for i, n in enumerate(names)}
-    seen_roles: dict[str, set[str]] = {}
-    for toks in comp_tokens:
-        for role, name, _ in toks:
-            seen_roles.setdefault(name, set()).add(role)
     for name in names:
-        if seen_roles.get(name) != {"O", "U"}:
-            raise ParseError(f"crossing {name} needs one O and one U visit")
+        if sorted(visits[name]) != ["O", "U"]:
+            raise ParseError(f"crossing {name} needs exactly one O and one U visit")
 
     # Slot layout: the over-strand enters slot 1 and leaves slot 3; the
     # under-strand of a positive crossing enters slot 2, of a negative one

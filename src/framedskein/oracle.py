@@ -104,32 +104,26 @@ def bracket_statesum(d: FramedDiagram) -> BracketPoly:
             raise DiagramError("empty diagram")
         return _DELTA ** (d.free_loops - 1)
 
+    mate = d.mate
     total = BracketPoly()
     for state in range(1 << n):
-        internal: dict[tuple[int, int], tuple[int, int]] = {}
+        joined = [0] * (4 * n)  # stub -> the stub its smoothing joins it to
         exponent = 0
         for c in range(n):
             kind = "A" if (state >> c) & 1 == 0 else "B"
             exponent += 1 if kind == "A" else -1
-            (s1, s2), (s3, s4) = d._smoothing_pairs(c, kind)
-            internal[(c, s1)] = (c, s2)
-            internal[(c, s2)] = (c, s1)
-            internal[(c, s3)] = (c, s4)
-            internal[(c, s4)] = (c, s3)
+            for s1, s2 in d._smoothing_pairs(c, kind):
+                joined[4 * c + s1], joined[4 * c + s2] = 4 * c + s2, 4 * c + s1
         loops = d.free_loops
-        seen: set[tuple[int, int]] = set()
-        for h0 in d.half_edges():
-            if h0 in seen:
+        seen = [False] * (4 * n)
+        for h in range(4 * n):
+            if seen[h]:
                 continue
             loops += 1
-            h = h0
-            while True:
-                seen.add(h)
-                m = d.mates[h]
-                seen.add(m)
-                h = internal[m]
-                if h == h0:
-                    break
+            while not seen[h]:
+                m = mate[h]
+                seen[h] = seen[m] = True
+                h = joined[m]
         total = total + BracketPoly.monomial(exponent) * _DELTA ** (loops - 1)
     return total
 

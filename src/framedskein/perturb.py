@@ -10,30 +10,17 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .diagram import (
-    DiagramError,
-    FramedDiagram,
-    HalfEdge,
-    R2Pair,
-    apply_reduction,
-    untwisted_bigon,
-)
-
-
-def _arc_of(d: FramedDiagram, h: HalfEdge) -> tuple[HalfEdge, HalfEdge]:
-    return tuple(sorted((h, d.mates[h])))
+from .diagram import FramedDiagram, R2Pair, apply_reduction, untwisted_bigon
 
 
 def r2_insertions(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All pokes of one face edge over another edge of the same face."""
-    if d.n_crossings == 0:
-        return
     for face in d.faces():
         if len(face) < 2:
             continue
-        for i, e1 in enumerate(face):
-            for j, e2 in enumerate(face):
-                if i == j or _arc_of(d, e1) == _arc_of(d, e2):
+        for e1 in face:
+            for e2 in face:
+                if e2 == e1 or e2 == d.mate[e1]:
                     continue
                 for qflip in (False, True):
                     for pflip in (False, True):
@@ -42,33 +29,32 @@ def r2_insertions(d: FramedDiagram) -> Iterator[FramedDiagram]:
                             yield out
 
 
-def _try_poke(d: FramedDiagram, e1: HalfEdge, e2: HalfEdge,
+def _try_poke(d: FramedDiagram, e1: int, e2: int,
               pflip: bool, qflip: bool) -> FramedDiagram | None:
-    u, v = e1, d.mates[e1]
-    w, x = e2, d.mates[e2]
+    u, v = e1, d.mate[e1]
+    w, x = e2, d.mate[e2]
     if pflip:
         u, v = v, u
     if qflip:
         w, x = x, w
+    # The new crossings n and n + 1 have stubs k..k + 3 and k + 4..k + 7.
     n = d.n_crossings
-    c1, c2 = n, n + 1
-    removed = {_arc_of(d, e1), _arc_of(d, e2)}
-    arcs = [a for a in d.arcs if a not in removed]
-    arcs += [
-        (u, (c1, 1)), ((c1, 3), (c2, 3)), ((c2, 1), v),
-        (w, (c2, 0)), ((c2, 2), (c1, 0)), ((c1, 2), x),
-    ]
-    try:
-        cand = FramedDiagram(list(d.crossings) + [1, 1], arcs, d.free_loops)
-    except DiagramError:
+    k = 4 * n
+    mate = list(d.mate) + [0] * 8
+    for a, b in ((u, k + 1), (k + 3, k + 7), (k + 5, v),
+                 (w, k + 4), (k + 6, k), (k + 2, x)):
+        mate[a], mate[b] = b, a
+    cand = FramedDiagram._make(d.crossings + (1, 1), tuple(mate), d.free_loops)
+    if not cand._is_planar():
         return None
     # The poke must be immediately removable and give back the original.
-    move = R2Pair(c1, c2)
+    move = R2Pair(n, n + 1)
     if not any(len(f) == 2 and untwisted_bigon(cand, f) == move
                for f in cand.faces()):
         return None
     back, _ = apply_reduction(cand, move)
-    if back.canonical_code() != d.canonical_code():
+    if (back.crossings, back.mate, back.free_loops) != \
+            (d.crossings, d.mate, d.free_loops):
         return None
     return cand
 
@@ -91,7 +77,7 @@ def r3_moves(d: FramedDiagram) -> Iterator[FramedDiagram]:
     for face in d.faces():
         if len(face) != 3:
             continue
-        crossings = [d.mates[h][0] for h in face]
+        crossings = [d.mate[h] >> 2 for h in face]
         if len(set(crossings)) != 3:
             continue
         if any(d.crossings[c] is None for c in crossings):
@@ -101,57 +87,33 @@ def r3_moves(d: FramedDiagram) -> Iterator[FramedDiagram]:
             yield out
 
 
-def _try_r3(d: FramedDiagram, face: list[HalfEdge]) -> FramedDiagram | None:
-    # Corner stubs: arc h_i arrives at (c, s); the corner occupies slots
-    # (s, s+1) of c and the strand of h_i passes through slots (s, s+2).
-    strands = {}  # frozenset of the two crossings -> per-crossing tri stub
-    corner_in = {}
-    for h in face:
-        c, s = d.mates[h]
-        corner_in[c] = s
-    for h in face:
-        c_from, s_from = h
-        c_to, s_to = d.mates[h]
-        key = frozenset((c_from, c_to))
-        # this strand's tri stubs: the outgoing stub at c_from, the
-        # incoming stub at c_to
-        strands[key] = {c_from: s_from, c_to: s_to}
-    if len(strands) != 3:
+def _try_r3(d: FramedDiagram, face: list[int]) -> FramedDiagram | None:
+    # Each side h -> mate[h] of the triangle is one strand; it goes on
+    # outside the triangle at the opposite stubs h ^ 2 and mate[h] ^ 2.
+    mate = d.mate
+
+    def on_top(h: int) -> bool:
+        return (h & 1) == d.crossings[h >> 2]
+
+    if all(on_top(h) != on_top(mate[h]) for h in face):
         return None
-
-    def over_at(c: int, slot: int) -> bool:
-        return (slot % 2) == d.crossings[c]
-
-    movable = False
-    for key, stubs in strands.items():
-        vals = [over_at(c, s) for c, s in stubs.items()]
-        if vals[0] == vals[1]:
-            movable = True
-    if not movable:
-        return None
-
-    sigma: dict[HalfEdge, HalfEdge] = {}
-    new_internal = []
-    for key, stubs in strands.items():
-        (cp, sp), (cq, sq) = stubs.items()
-        p_tri, q_tri = (cp, sp), (cq, sq)
-        p_ext = (cp, (sp + 2) % 4)
-        q_ext = (cq, (sq + 2) % 4)
-        sigma[p_ext] = q_tri
-        sigma[q_ext] = p_tri
-        new_internal.append((p_ext, q_ext))
-
-    tri_arcs = {_arc_of(d, h) for h in face}
-    arcs = []
-    for a, b in d.arcs:
-        if (a, b) in tri_arcs or tuple(sorted((a, b))) in tri_arcs:
-            continue
-        arcs.append((sigma.get(a, a), sigma.get(b, b)))
-    arcs.extend(new_internal)
-    try:
-        return FramedDiagram(d.crossings, arcs, d.free_loops)
-    except DiagramError:
-        return None
+    # Slide the strand across: each outer arc moves from its end at one
+    # corner to the triangle stub at the other corner, and the two outer
+    # stubs of a side are joined to each other.
+    inner = {h for e in face for h in (e, mate[e])}
+    moved = {}
+    for e in face:
+        moved[e ^ 2] = mate[e]
+        moved[mate[e] ^ 2] = e
+    new = list(mate)
+    for h, m in enumerate(mate):
+        if h not in inner:
+            new[moved.get(h, h)] = moved.get(m, m)
+    for e in face:
+        p, q = e ^ 2, mate[e] ^ 2
+        new[p], new[q] = q, p
+    cand = FramedDiagram._make(d.crossings, tuple(new), d.free_loops)
+    return cand if cand._is_planar() else None
 
 
 def random_perturbation(d: FramedDiagram, rng: random.Random,

@@ -33,6 +33,19 @@ class OrderMismatchError(ValueError):
     """Raised when combining truncated series of different orders."""
 
 
+def _power(base, k: int, one):
+    """``base ** k`` for ``k >= 0`` by square-and-multiply, starting from
+    the ring's ``one``; the square after the last bit is not taken."""
+    out = one
+    while True:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -81,14 +94,7 @@ class GaussRational:
     def __pow__(self, k: int) -> "GaussRational":
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ONE)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -203,14 +209,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             return self.inverse() ** (-k)
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, LaurentPoly.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
@@ -332,14 +331,7 @@ class PowerSeries:
     def __pow__(self, k: int) -> "PowerSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        out = PowerSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, PowerSeries.one(self.order))
 
     def __eq__(self, other) -> bool:
         return (
@@ -612,14 +604,7 @@ class BiSeries:
     def __pow__(self, k: int) -> "BiSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        out = BiSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, BiSeries.one(self.order))
 
     def __eq__(self, other) -> bool:
         return (

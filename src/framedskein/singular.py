@@ -153,7 +153,7 @@ def figure_three_configuration(d: FramedDiagram,
 
 def _one_gon_at(sd: FramedDiagram, c: int) -> bool:
     for face in sd.faces():
-        if len(face) == 1 and sd.mates[face[0]][0] == c:
+        if len(face) == 1 and sd.mate[face[0]] >> 2 == c:
             return True
     return False
 

@@ -17,6 +17,7 @@ chain is still memoized under its canonical code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .diagram import (
@@ -67,7 +68,7 @@ class SkeinParams:
     order: int | None = None
     normalization: str = "unit"
 
-    @property
+    @cached_property
     def alpha_inv(self):
         return self.alpha ** -1
 
@@ -314,7 +315,13 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
                 on_expand(cur, child)
         return go(switched) + params.skein_z * (go(a_sm) - go(b_sm))
 
-    return go(d)
+    try:
+        return go(d)
+    finally:
+        # go and expand hold each other through their closure cells;
+        # emptying the cells frees the memo now, not at the next cyclic
+        # garbage collection.
+        del go, expand
 
 
 def evaluate_series(d: FramedDiagram, n: int, order: int,

@@ -77,6 +77,12 @@ class TestExitCodes:
                            "--format", "braid", "--node-budget", "2")
         assert code == EXIT_BUDGET and "budget" in err
 
+    def test_gauss_repeated_visit(self, capsys):
+        code, out, err = run(capsys, "eval", "--text", "O1+ U1+\nO1+ U1+",
+                             "--format", "gauss")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error") and err.count("\n") == 1
+
     def test_short_pd_line(self, capsys):
         code, out, err = run(capsys, "eval", "--text", "X")
         assert code == EXIT_PARSE and out == ""

@@ -40,6 +40,22 @@ class TestConstruction:
         with pytest.raises(DiagramError):
             FramedDiagram([1], [((0, 0), (0, 1))])
 
+    @pytest.mark.parametrize("stub", [(0, 4), (1, 0), (0, -1), (-1, 3)])
+    def test_out_of_range_stub_rejected(self, stub):
+        # as an int 4 * c + s, (0, 4) would alias (1, 0)
+        with pytest.raises(DiagramError):
+            FramedDiagram([1], [((0, 0), (0, 1)), ((0, 2), stub)])
+
+    def test_stub_matched_twice_rejected(self):
+        with pytest.raises(DiagramError):
+            FramedDiagram([1], [((0, 0), (0, 1)), ((0, 1), (0, 2)),
+                                ((0, 2), (0, 3))])
+
+    def test_arcs_view_is_sorted_pairs(self):
+        d = FramedDiagram([1], [((0, 3), (0, 2)), ((0, 1), (0, 0))])
+        assert d.arcs == (((0, 0), (0, 1)), ((0, 2), (0, 3)))
+        assert d.mate == (1, 0, 3, 2)
+
     def test_components(self):
         assert braid(HOPF).n_components() == 2
         assert braid(TREFOIL).n_components() == 1
@@ -220,6 +236,12 @@ class TestParsing:
     def test_gauss_sign_consistency_checked(self):
         with pytest.raises(ParseError):
             parse_diagram("O1+ U1-", "gauss")
+
+    @pytest.mark.parametrize("text", ["O1+ U1+\nO1+ U1+", "O1+ O1+ U1+",
+                                      "O1+ U1+ U1+"])
+    def test_gauss_repeated_visit_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_diagram(text, "gauss")
 
     def test_braid_idle_strand_becomes_loop(self):
         d = parse_diagram("s1 s3", "braid")

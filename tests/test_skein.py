@@ -143,6 +143,16 @@ class TestMachinery:
         with pytest.raises(AssertionError):
             memo["k"] = A
 
+    def test_criterion10_word_counts(self):
+        # the memo and the skein tree of the first criterion-10 word
+        word = ("s3 s2 s2 s1^-1 s2 s1 s2^-1 s3^-1 s2 s1^-1 s3^-1 s2^-1 "
+                "s1^-1 s2 s1 s1")
+        memo, edges = MemoTable(), []
+        evaluate(braid(word), default_params("laurent"), memo=memo,
+                 on_expand=lambda p, c: edges.append(c))
+        assert len(memo) == 683
+        assert len(edges) == 3 * 159
+
     def test_memo_bound_to_params(self):
         memo = MemoTable()
         laurent = default_params("laurent")
