@@ -104,7 +104,13 @@ class FramedDiagram:
               free_loops: int) -> "FramedDiagram":
         """The private constructor: a diagram from its stored form, with
         no checks.  Moves whose result is a diagram by construction use
-        it; ``perturb`` also checks its candidates with ``_is_planar``."""
+        it; ``perturb`` also checks its candidates with ``_is_planar``.
+
+        Callers build the tuples from lists, not generators: ``tuple()``
+        of a generator starts at length 10 and is resized, so each one
+        freed lands in CPython's free list for its final length without
+        having been taken from it, and those lists grow until a full
+        garbage collection, which raised peak memory."""
         d = object.__new__(cls)
         d._store(crossings, mate, free_loops)
         return d
@@ -337,7 +343,7 @@ class FramedDiagram:
                 if u not in joined or u == t:
                     break
             loops += u == t
-        return FramedDiagram._make(tuple(self.crossings[c] for c in survivors),
+        return FramedDiagram._make(tuple([self.crossings[c] for c in survivors]),
                                    tuple(new_mate), self.free_loops + loops)
 
     def add_kink(self, arc: tuple[HalfEdge, HalfEdge], sign: int) -> "FramedDiagram":
@@ -361,7 +367,7 @@ class FramedDiagram:
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
         off = 4 * self.n_crossings
         return FramedDiagram._make(self.crossings + other.crossings,
-                                   self.mate + tuple(m + off for m in other.mate),
+                                   self.mate + tuple([m + off for m in other.mate]),
                                    self.free_loops + other.free_loops)
 
     # -- descending traversal ---------------------------------------------
@@ -584,9 +590,9 @@ def _restrict(d: FramedDiagram, keep: list[int], free_loops: int) -> FramedDiagr
     """The sub-diagram on the crossings ``keep`` (ascending), which must be
     a union of connected pieces."""
     renum = {c: i for i, c in enumerate(keep)}
-    mate = tuple(4 * renum[m >> 2] + (m & 3)
-                 for c in keep for m in d.mate[4 * c:4 * c + 4])
-    return FramedDiagram._make(tuple(d.crossings[c] for c in keep), mate,
+    mate = tuple([4 * renum[m >> 2] + (m & 3)
+                  for c in keep for m in d.mate[4 * c:4 * c + 4]])
+    return FramedDiagram._make(tuple([d.crossings[c] for c in keep]), mate,
                                free_loops)
 
 

@@ -14,6 +14,13 @@ be tested with exact equality.  Four carrier rings are provided:
 * :class:`BiSeries` -- bivariate series in ``x, y`` truncated by total
   degree.
 
+The evaluator does not recurse in these rings.  Both of its value rings
+lie in integer Laurent polynomials, so it works in the private
+:class:`_IntPoly`: ``Z[a^±1, z^±1]`` for Laurent values and ``Z[t^±1]``
+(``t = e^x``) for series values.  A Laurent value is converted to a
+:class:`LaurentPoly` once, and a series value is expanded once into a
+:class:`PowerSeries`.
+
 No floating point is used anywhere.
 """
 
@@ -660,26 +667,11 @@ def base_constants(order: int) -> dict[str, PowerSeries | BiSeries]:
 
 
 def loop_factor_series(n: int, order: int) -> PowerSeries:
-    """The disjoint-unknot factor ``(t^(n+1) - t^-(n+1))/(t - t^-1) + 1``.
-
-    The quotient is evaluated through the telescoped sum
-    ``t^n + t^(n-2) + ... + t^-n`` so the non-unit denominator never
-    appears; negative ``n`` uses the antisymmetry of the quotient.
-    The constant term is always ``n + 2``.
+    """The disjoint-unknot factor ``(t^(n+1) - t^-(n+1))/(t - t^-1) + 1``
+    at ``t = e^x``, truncated at the given order; see
+    :meth:`_IntPoly.loop_factor`.  The constant term is always ``n + 2``.
     """
-    if n >= 0:
-        acc = PowerSeries.constant(1, order)
-        for j in range(n + 1):
-            acc = acc + series_exp(n - 2 * j, order)
-        return acc
-    if n == -1:
-        return PowerSeries.one(order)
-    # quotient(n) = -quotient(-n-2)
-    m = -n - 2
-    acc = PowerSeries.constant(1, order)
-    for j in range(m + 1):
-        acc = acc - series_exp(m - 2 * j, order)
-    return acc
+    return _IntPoly.loop_factor(n).t_series(order)
 
 
 def substitute_laurent(p: LaurentPoly, a_val, z_val):
@@ -710,6 +702,129 @@ def substitute_laurent(p: LaurentPoly, a_val, z_val):
             return LaurentSeries.constant(0, a_val.order)
         return (a_val ** 0).scale(ZERO)
     return result
+
+# ---------------------------------------------------------------------------
+# Integer Laurent polynomials: the evaluator's working ring
+
+_Z_SHIFT = 32
+_Z_LIMIT = 1 << (_Z_SHIFT - 1)  # packing is exact while |dz| < _Z_LIMIT
+_Z_MASK = (1 << _Z_SHIFT) - 1
+
+
+def _unpack(key: int) -> tuple[int, int]:
+    """``(da, dz)`` of a packed ``Z[a^±1, z^±1]`` exponent key."""
+    dz = ((key + _Z_LIMIT) & _Z_MASK) - _Z_LIMIT
+    return (key - dz) >> _Z_SHIFT, dz
+
+
+class _IntPoly(dict):
+    """Integer Laurent polynomial: a map from an int exponent key to a
+    non-zero int coefficient.  Values are never changed after they are
+    built.
+
+    In ``Z[t^±1]`` the key is the exponent of ``t``.  In
+    ``Z[a^±1, z^±1]`` the key packs ``(da, dz)`` as ``(da << 32) + dz``,
+    so adding keys adds both degrees, and sorting keys sorts the degree
+    pairs; this holds while every ``|dz| < 2^31``.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def one() -> "_IntPoly":
+        return _IntPoly({0: 1})
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        out = _IntPoly(self)
+        for e, c in other.items():
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return out
+
+    def __sub__(self, other: "_IntPoly") -> "_IntPoly":
+        return self + _IntPoly({e: -c for e, c in other.items()})
+
+    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
+        if len(self) > len(other):
+            self, other = other, self
+        if len(self) == 1:
+            ((e, c),) = self.items()
+            return _IntPoly({e + k: c * v for k, v in other.items()})
+        out = _IntPoly()
+        get = out.get
+        for e1, c1 in self.items():
+            for e2, c2 in other.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        for e in [e for e, c in out.items() if not c]:
+            del out[e]
+        return out
+
+    def __pow__(self, k: int) -> "_IntPoly":
+        if k >= 0:
+            return _power(self, k, _IntPoly.one())
+        # Only the monomials with coefficient +-1 are units.
+        if len(self) != 1 or abs(next(iter(self.values()))) != 1:
+            raise NotAUnitError("only monomials with coefficient ±1 are "
+                                "invertible integer polynomials")
+        ((e, c),) = self.items()
+        return _power(_IntPoly({-e: c}), -k, _IntPoly.one())
+
+    @staticmethod
+    def of_laurent(p: LaurentPoly) -> "_IntPoly":
+        """Pack a Laurent polynomial with integer coefficients."""
+        out = _IntPoly()
+        for (da, dz), c in p.terms.items():
+            if c.im or c.re.denominator != 1:
+                raise ValueError(f"coefficient {c} is not an integer")
+            if not -_Z_LIMIT < dz < _Z_LIMIT:
+                raise ValueError(f"z-degree {dz} is out of the packed range")
+            out[(da << _Z_SHIFT) + dz] = c.re.numerator
+        return out
+
+    def max_z_degree(self) -> int:
+        """Largest ``|dz|`` of a packed polynomial."""
+        return max((abs(_unpack(key)[1]) for key in self), default=0)
+
+    def to_laurent(self) -> LaurentPoly:
+        out = LaurentPoly()
+        for key in sorted(self):
+            out.terms[_unpack(key)] = GaussRational.of(self[key])
+        return out
+
+    def t_series(self, order: int) -> PowerSeries:
+        """Expand ``sum_j c_j t^j`` at ``t = e^x``: the ``x^m`` coefficient
+        is ``sum_j c_j j^m / m!``."""
+        js = list(self)
+        terms = list(self.values())
+        coeffs = []
+        fact = 1
+        for m in range(order + 1):
+            if m:
+                fact *= m
+                terms = [c * j for c, j in zip(terms, js)]
+            coeffs.append(GaussRational.of(Fraction(sum(terms), fact)))
+        return PowerSeries(order, coeffs)
+
+    @staticmethod
+    def loop_factor(n: int) -> "_IntPoly":
+        """``(t^(n+1) - t^-(n+1))/(t - t^-1) + 1`` in ``Z[t^±1]``.
+
+        The quotient is the telescoped sum ``t^n + t^(n-2) + ... + t^-n``,
+        so the non-unit denominator never appears; it is 0 at ``n = -1``,
+        and a negative ``n`` uses the antisymmetry ``quotient(n) =
+        -quotient(-n-2)``.
+        """
+        if n >= -1:
+            out = _IntPoly({n - 2 * j: 1 for j in range(n + 1)})
+        else:
+            m = -n - 2
+            out = _IntPoly({m - 2 * j: -1 for j in range(m + 1)})
+        return out + _IntPoly.one()
+
 
 # ---------------------------------------------------------------------------
 # JSON serialization (bit-exact round-trip)

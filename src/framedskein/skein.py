@@ -12,13 +12,20 @@ the crossing-change distance used in the lexicographic induction.
 Reduction chains are followed in a loop, not by recursion, so the stack
 grows only at branch points and split remainders; every diagram on a
 chain is still memoized under its canonical code.
+
+The recursion runs in integer rings (see :class:`ring._IntPoly`): in
+``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
+``a = t^(n+1)``, ``z = t - t^-1`` for the series ring, with no
+truncation.  Memo values are these integer polynomials.  The value
+returned is converted once at the end: to a ``LaurentPoly``, or expanded
+at ``t = e^x`` into a ``PowerSeries`` of the requested order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional
 
 from .diagram import (
     Bookkeeping,
@@ -29,9 +36,11 @@ from .diagram import (
     parse_diagram,
 )
 from .ring import (
+    _Z_LIMIT,
     LaurentPoly,
     LaurentSeries,
     PowerSeries,
+    _IntPoly,
     loop_factor_series,
     series_exp,
     substitute_laurent,
@@ -46,6 +55,19 @@ class BudgetExceededError(RuntimeError):
 
 class AuditError(ValueError):
     """Skein parameters violate a defining identity."""
+
+
+class _Engine(NamedTuple):
+    """The rewrite constants in the evaluator's integer ring, and the map
+    from that ring back to the public value ring."""
+
+    alpha: _IntPoly
+    alpha_inv: _IntPoly
+    z: _IntPoly
+    delta: _IntPoly
+    unknot: _IntPoly
+    value: Callable[[_IntPoly], object]
+    z_reach: int  # largest |z-degree| of a packed constant, 0 unpacked
 
 
 @dataclass(frozen=True)
@@ -72,8 +94,44 @@ class SkeinParams:
     def alpha_inv(self):
         return self.alpha ** -1
 
-    def kink_factor(self, sign: int):
-        return self.alpha if sign > 0 else self.alpha_inv
+    @cached_property
+    def _engine(self) -> _Engine:
+        """The constants in the evaluator's integer ring.
+
+        Laurent fields are packed as they are, and must have integer
+        coefficients.  Series constants are built from ``n`` in
+        ``Z[t^±1]``: ``alpha = t^(n+1)``, ``z = t - t^-1``, ``delta`` the
+        loop factor and the unknot value ``delta`` or 1.
+        :func:`convention_audit` checks that each constant, converted
+        back, equals its field.
+        """
+        if self.ring == "laurent":
+            consts = []
+            for name in ("alpha", "skein_z", "delta", "unknot_value"):
+                try:
+                    consts.append(_IntPoly.of_laurent(getattr(self, name)))
+                except ValueError as e:
+                    raise AuditError(
+                        f"{name} is not in Z[a^±1, z^±1]: {e}") from None
+            alpha, z, delta, unknot = consts
+            value = _IntPoly.to_laurent
+            z_reach = max(c.max_z_degree() for c in consts)
+        elif self.ring == "series" and self.n is not None:
+            alpha = _IntPoly({self.n + 1: 1})
+            z = _IntPoly({1: 1, -1: -1})
+            delta = _IntPoly.loop_factor(self.n)
+            unknot = delta if self.normalization == "delta" else _IntPoly.one()
+            value = partial(_IntPoly.t_series, order=self.order)
+            z_reach = 0
+        else:
+            raise AuditError(f"no integer ring for the {self.ring!r} ring "
+                             f"with n = {self.n!r}")
+        try:
+            alpha_inv = alpha ** -1
+        except ArithmeticError:
+            raise AuditError("alpha is not a unit of the integer ring") \
+                from None
+        return _Engine(alpha, alpha_inv, z, delta, unknot, value, z_reach)
 
 
 def default_params(ring: str = "laurent", n: int = 0, order: int = 8,
@@ -131,6 +189,16 @@ def convention_audit(params: SkeinParams) -> AuditReport:
         failures.append("consistency identity violated: "
                         "alpha - alpha^-1 != z*(delta - 1)")
     try:
+        eng = params._engine
+    except AuditError as e:
+        failures.append(str(e))
+        return AuditReport(ok=False, failures=failures)
+    try:
+        for name, const in (("alpha", eng.alpha), ("skein_z", eng.z),
+                            ("delta", eng.delta), ("unknot_value", eng.unknot)):
+            if eng.value(const) != getattr(params, name):
+                failures.append(f"engine constant {name} differs from the "
+                                "field")
         pos = parse_diagram("s1", "braid")
         neg = parse_diagram("s1^-1", "braid")
         two_loops = parse_diagram("O\nO", "pd")
@@ -261,9 +329,15 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
                            "resolve them first")
     if d.n_crossings == 0 and d.free_loops == 0:
         raise DiagramError("empty diagram has no invariant value")
+    eng = params._engine
+    if eng.z_reach * (7 * d.n_crossings + 2 * d.free_loops) >= _Z_LIMIT:
+        # A node of c crossings and k components has |z-degree| at most
+        # z_reach * (3c + 2k - 1), and k <= 2c + free loops.
+        raise DiagramError("diagram too large for the packed exponents")
     memo = MemoTable() if memo is None else memo
     memo.bind(params)
     nodes = 0
+    alpha, alpha_inv, delta = eng.alpha, eng.alpha_inv, eng.delta
 
     def go(cur: FramedDiagram):
         # Follow the reduction chain down to a memo hit, a descending leaf
@@ -287,11 +361,11 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
             chain.append((code, bk))
         for code, bk in reversed(chain):
             if bk.kind == "delta":
-                val = params.delta * val
+                val = delta * val
             elif bk.kind == "kink":
-                val = params.kink_factor(bk.kink_sign) * val
+                val = (alpha if bk.kink_sign > 0 else alpha_inv) * val
             elif bk.kind == "split":
-                val = params.delta * val * go(bk.remainder)
+                val = delta * val * go(bk.remainder)
             memo[code] = val
         return val
 
@@ -304,8 +378,7 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
             # irreducible diagram is a single circle (m = 1, w = 0).
             w = cur.total_self_writhe()
             m = cur.n_components()
-            return (params.alpha ** w) * (params.delta ** (m - 1)) \
-                * params.unknot_value
+            return alpha ** w * delta ** (m - 1) * eng.unknot
         c = bad[0] if select is None else select(cur)
         switched = cur.switch_crossing(c)
         a_sm = cur.smooth(c, "A")
@@ -313,10 +386,10 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         if on_expand is not None:
             for child in (switched, a_sm, b_sm):
                 on_expand(cur, child)
-        return go(switched) + params.skein_z * (go(a_sm) - go(b_sm))
+        return go(switched) + eng.z * (go(a_sm) - go(b_sm))
 
     try:
-        return go(d)
+        return eng.value(go(d))
     finally:
         # go and expand hold each other through their closure cells;
         # emptying the cells frees the memo now, not at the next cyclic

@@ -24,6 +24,7 @@ from framedskein.ring import (
     series_from_json,
     series_to_json,
 )
+from framedskein.ring import _IntPoly
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gauss = st.builds(GaussRational.of, fractions, fractions)
@@ -37,6 +38,85 @@ def laurents(draw):
         exp = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
         terms[exp] = draw(gauss)
     return LaurentPoly(terms)
+
+
+# z-degrees near the packing bound |dz| < 2^31 (sums of two stay inside),
+# and a-degrees far beyond the 32 bits that dz occupies
+BOUND = 2 ** 30
+deg_z = st.one_of(st.integers(-4, 4), st.integers(BOUND - 3, BOUND - 1),
+                  st.integers(-BOUND + 1, -BOUND + 3))
+deg_a = st.one_of(st.integers(-4, 4), st.integers(-2 ** 40, 2 ** 40))
+ints = st.integers(-10 ** 12, 10 ** 12).filter(bool)
+
+
+@st.composite
+def int_laurents(draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        terms[(draw(deg_a), draw(deg_z))] = GaussRational.of(draw(ints))
+    return LaurentPoly(terms)
+
+
+def packed(p):
+    return _IntPoly.of_laurent(p)
+
+
+class TestIntPoly:
+    """The evaluator's integer ring against ``LaurentPoly``."""
+
+    @given(int_laurents())
+    @settings(max_examples=60)
+    def test_round_trip(self, p):
+        q = packed(p).to_laurent()
+        assert q == p
+        assert list(q.terms) == [e for e, _ in p.sorted_terms()]
+
+    @given(int_laurents(), int_laurents())
+    @settings(max_examples=60)
+    def test_operations(self, p, q):
+        assert (packed(p) + packed(q)).to_laurent() == p + q
+        assert (packed(p) - packed(q)).to_laurent() == p - q
+        assert (packed(p) * packed(q)).to_laurent() == p * q
+        assert (packed(p) - packed(p)) == _IntPoly()
+
+    @given(deg_a, st.integers(-4, 4), st.sampled_from([1, -1]),
+           st.integers(-6, 6))
+    def test_monomial_powers(self, da, dz, c, k):
+        m = LaurentPoly.term(c, da, dz)
+        assert (packed(m) ** k).to_laurent() == m ** k
+
+    @given(int_laurents(), st.integers(0, 3))
+    @settings(max_examples=30)
+    def test_non_negative_powers(self, p, k):
+        small = LaurentPoly({(da % 5, dz % 5): c
+                             for (da, dz), c in p.terms.items()})
+        assert (packed(small) ** k).to_laurent() == small ** k
+
+    def test_only_unit_monomials_invert(self):
+        with pytest.raises(NotAUnitError):
+            packed(LaurentPoly.term(2, 1, 0)) ** -1
+        with pytest.raises(NotAUnitError):
+            packed(LaurentPoly.var_a() + LaurentPoly.one()) ** -1
+
+    @pytest.mark.parametrize("p", [
+        LaurentPoly.term(Fraction(1, 2)),
+        LaurentPoly.term(I, 1, 0),
+        LaurentPoly.term(1, 0, 2 ** 31),
+        LaurentPoly.term(1, 0, -2 ** 31),
+    ])
+    def test_refused(self, p):
+        with pytest.raises(ValueError):
+            packed(p)
+
+    @given(st.dictionaries(st.integers(-6, 6), ints, max_size=6),
+           st.integers(0, 8))
+    @settings(max_examples=40)
+    def test_t_series(self, terms, order):
+        # sum_j c_j t^j at t = e^x, term by term
+        expected = PowerSeries(order, [])
+        for j, c in terms.items():
+            expected = expected + series_exp(j, order).scale(c)
+        assert _IntPoly(terms).t_series(order) == expected
 
 
 class TestGaussRational:

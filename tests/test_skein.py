@@ -1,18 +1,31 @@
+import dataclasses
 import inspect
+import json
 import random
 import sys
+import zlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedskein.corpus import default_corpus
 from framedskein.diagram import DiagramError, parse_diagram
-from framedskein.ring import GaussRational, LaurentPoly, PowerSeries
+from framedskein.ring import (
+    I,
+    GaussRational,
+    LaurentPoly,
+    PowerSeries,
+    laurent_to_json,
+    series_to_json,
+    substitute_laurent,
+)
 from framedskein.skein import (
     AuditError,
     BudgetExceededError,
     MemoTable,
+    SkeinParams,
     complexity_bound,
     convention_audit,
     default_params,
@@ -121,6 +134,58 @@ class TestNormalizations:
         with pytest.raises(AuditError):
             evaluate(braid("s1"), params)
 
+    def test_presets_are_integral(self):
+        for norm in ("unit", "delta"):
+            assert convention_audit(default_params("laurent",
+                                                   normalization=norm)).ok
+        report = convention_audit(
+            default_params("laurent", normalization="prop42"))
+        assert report.failures == ["consistency identity violated: "
+                                   "alpha - alpha^-1 != z*(delta - 1)"]
+
+    @pytest.mark.parametrize("field, bad", [
+        ("delta", ONE + (A - A ** -1) * Z ** -1
+         + LaurentPoly.term(Fraction(1, 2), 1, 0)),
+        ("unknot_value", LaurentPoly.term(I)),
+        ("alpha", A.scale(GaussRational.of(0, 1))),
+    ])
+    def test_non_integer_laurent_params_refused(self, field, bad):
+        params = dataclasses.replace(default_params("laurent"),
+                                     **{field: bad})
+        report = convention_audit(params)
+        assert not report.ok
+        assert report.failures[-1].startswith(f"{field} is not in Z")
+        with pytest.raises(AuditError, match=field):
+            evaluate(braid("s1 s1"), params)
+
+    def test_audit_checks_series_engine_constants(self):
+        # fields of n = 1 under n = 2: the public identity still holds,
+        # but the engine would recurse with the constants of n = 2
+        params = dataclasses.replace(default_params("series", n=1, order=6),
+                                     n=2)
+        report = convention_audit(params)
+        assert not report.ok
+        assert "engine constant alpha differs from the field" in \
+            report.failures
+        assert "engine constant delta differs from the field" in \
+            report.failures
+        with pytest.raises(AuditError):
+            evaluate(braid("s1"), params)
+
+    def test_packed_z_degrees_stay_in_range(self):
+        # z -> z^K is a consistent parameter set; the evaluator packs z-
+        # degrees into 32 bits and refuses a diagram that could leave them
+        K = 2 ** 24
+        zk = LaurentPoly.var_z(K)
+        params = SkeinParams("laurent", alpha=A, skein_z=zk,
+                             delta=ONE + (A - A ** -1) * zk ** -1,
+                             unknot_value=ONE, one=ONE)
+        hopf = evaluate_laurent(braid("s1 s1"))
+        assert evaluate(braid("s1 s1"), params) == \
+            substitute_laurent(hopf, A, zk)
+        with pytest.raises(DiagramError, match="packed"):
+            evaluate(braid("s1^20"), params)
+
     def test_audit_catches_wrong_delta_sign(self):
         good = default_params("laurent")
         bad = default_params("laurent")
@@ -216,6 +281,14 @@ class TestClosedForms:
         assert got == A ** w
 
 
+def small_diagrams():
+    """Resolved corpus diagrams of at most 8 crossings and T(2,k) for
+    k <= 8."""
+    ds = [e.diagram() for e in default_corpus()
+          if not e.n_flat and e.n_crossings <= 8]
+    return ds + [braid(f"s1^{k}") for k in range(1, 9)]
+
+
 class TestCrossRing:
     @given(st.sampled_from(["s1 s1", "s1 s1 s1", "s1 s2 s1"]),
            st.integers(0, 2))
@@ -224,3 +297,83 @@ class TestCrossRing:
         d = braid(word)
         assert laurent_to_series(evaluate_laurent(d), n, 8) == \
             evaluate_series(d, n, 8)
+
+    def test_every_loop_factor_branch(self):
+        # n = -1 gives delta = 1, n = -2 gives delta = 0, n < -2 the
+        # antisymmetric branch
+        for d in small_diagrams():
+            p = evaluate_laurent(d)
+            for n in (-3, -2, -1, 0, 1, 2):
+                assert evaluate_series(d, n, 6) == \
+                    laurent_to_series(p, n, 6), (d.canonical_code(), n)
+
+    def test_order_does_not_matter(self):
+        for d in small_diagrams():
+            for n in (-3, 0, 1):
+                full = evaluate_series(d, n, 8)
+                for m in (0, 3, 8):
+                    assert full.truncate(m) == evaluate_series(d, n, m)
+
+
+C10_WORDS = (
+    "s3 s2 s2 s1^-1 s2 s1 s2^-1 s3^-1 s2 s1^-1 s3^-1 s2^-1 s1^-1 s2 s1 s1",
+    "s3 s3 s2^-1 s3 s3^-1 s3^-1 s2^-1 s3 s2^-1 s2^-1 s1^-1 s2^-1 s3 s1 "
+    "s2^-1 s1",
+)
+
+
+class TestIntegerRings:
+    """The evaluator recurses in integer rings and converts at the ends.
+    The digests were computed with the earlier evaluator, which recursed
+    in ``LaurentPoly`` and truncated ``PowerSeries``."""
+
+    def test_corpus_values_unchanged(self):
+        h = 0
+        for e in default_corpus():
+            if e.n_flat:
+                continue
+            d = e.diagram()
+            h = zlib.crc32(json.dumps(
+                laurent_to_json(evaluate_laurent(d))).encode(), h)
+            for n in (0, 1):
+                h = zlib.crc32(json.dumps(
+                    series_to_json(evaluate_series(d, n, 8))).encode(), h)
+        assert h == 3175763699
+
+    @pytest.mark.parametrize("ring, n, digest", [
+        ("laurent", None, 3062736677),
+        ("series", 0, 3497272484),
+        ("series", 1, 232710221),
+    ])
+    def test_memo_keys_and_expansions_unchanged(self, ring, n, digest):
+        params = (default_params("laurent") if n is None
+                  else default_params(ring, n=n, order=8))
+        h = 0
+        for word in C10_WORDS:
+            memo, edges = MemoTable(), []
+            v = evaluate(braid(word), params, memo=memo,
+                         on_expand=lambda p, c: edges.append(
+                             p.canonical_code() + "|" + c.canonical_code()))
+            h = zlib.crc32("\n".join(memo).encode(), h)
+            h = zlib.crc32("\n".join(edges).encode(), h)
+            h = zlib.crc32(str(v).encode(), h)
+        assert h == digest
+
+    def test_public_rings_stay_out_of_the_recursion(self, monkeypatch):
+        calls = []
+        for cls in (LaurentPoly, PowerSeries):
+            orig = cls.__mul__
+
+            def counted(self, other, orig=orig, name=cls.__name__):
+                calls.append(name)
+                return orig(self, other)
+            monkeypatch.setattr(cls, "__mul__", counted)
+        d = braid(C10_WORDS[0])
+        for params in (default_params("laurent"),
+                       default_params("series", n=1, order=8)):
+            evaluate(braid("s1"), params)  # the audit may multiply
+            calls.clear()
+            memo = MemoTable()
+            evaluate(d, params, memo=memo)
+            assert len(memo) == 683
+            assert calls == []
