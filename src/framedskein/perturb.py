@@ -3,6 +3,24 @@
 These moves never change the framed link a diagram represents, so they
 are the test harness for invariance of the evaluator.  Writhe-changing
 moves (R1) are deliberately absent.
+
+An R2 poke pushes one arc of a face across another arc of the same face,
+adding two crossings that bound a removable untwisted bigon.  A poke
+site ``(e1, e2, flipped)`` names the two arcs by stubs ``e1`` and ``e2``
+of one face.  Unflipped, both arcs are run from those stubs, as the face
+runs them, and the poke is always planar.  Flipped, both arcs are run
+from their mates, which is planar exactly when ``mate[e1]`` and
+``mate[e2]`` lie on a common face: the poke then lies in that face.
+Flipping one arc only is never planar, because the other side of an arc
+always belongs to another face (a 4-valent graph has no bridge), so no
+face runs the two arcs in those senses.
+
+A flipped site builds the same diagram as the unflipped site
+``(mate[e1], mate[e2])`` of the face on the other side.  These
+duplicates stay in the list: ``random_perturbation`` draws among the
+sites, and dropping them would change the map from seed to diagram.
+``random_perturbation`` lists the sites and builds only the poke it
+draws, so each step builds one diagram instead of every candidate.
 """
 
 from __future__ import annotations
@@ -12,25 +30,55 @@ from typing import Iterator
 
 from .diagram import FramedDiagram, R2Pair, apply_reduction, untwisted_bigon
 
+PokeSite = tuple[int, int, bool]
 
-def r2_insertions(d: FramedDiagram) -> Iterator[FramedDiagram]:
-    """All pokes of one face edge over another edge of the same face."""
-    for face in d.faces():
+
+def _poke_sites(d: FramedDiagram) -> list[PokeSite]:
+    """Every planar poke site, in the order ``r2_insertions`` builds them:
+    faces in ``faces()`` order, then ``e1`` and ``e2`` over the face,
+    unflipped before flipped."""
+    faces = d.faces()
+    mate = d.mate
+    face_of = [0] * len(mate)
+    for i, face in enumerate(faces):
+        for h in face:
+            face_of[h] = i
+    sites = []
+    for face in faces:
         if len(face) < 2:
             continue
         for e1 in face:
+            m1 = mate[e1]
             for e2 in face:
-                if e2 == e1 or e2 == d.mate[e1]:
+                if e2 == e1 or e2 == m1:
                     continue
-                for qflip in (False, True):
-                    for pflip in (False, True):
-                        out = _try_poke(d, e1, e2, pflip, qflip)
-                        if out is not None:
-                            yield out
+                sites.append((e1, e2, False))
+                if face_of[m1] == face_of[mate[e2]]:
+                    sites.append((e1, e2, True))
+    return sites
+
+
+def _poke(d: FramedDiagram, site: PokeSite) -> FramedDiagram:
+    e1, e2, flipped = site
+    out = _try_poke(d, e1, e2, flipped, flipped)
+    if out is None:
+        raise AssertionError(f"poke site {site} of {d!r} is not a "
+                             "removable R2 poke")
+    return out
+
+
+def r2_insertions(d: FramedDiagram) -> Iterator[FramedDiagram]:
+    """All R2 pokes of one face edge over another edge of the same face,
+    one per poke site (see the module docstring), duplicates included."""
+    for site in _poke_sites(d):
+        yield _poke(d, site)
 
 
 def _try_poke(d: FramedDiagram, e1: int, e2: int,
               pflip: bool, qflip: bool) -> FramedDiagram | None:
+    """The poke of arc ``e1`` over arc ``e2``, each run from its mate when
+    flipped, or ``None`` when it is not planar, not removable as an
+    untwisted bigon, or does not remove back to ``d``."""
     u, v = e1, d.mate[e1]
     w, x = e2, d.mate[e2]
     if pflip:
@@ -118,15 +166,20 @@ def _try_r3(d: FramedDiagram, face: list[int]) -> FramedDiagram | None:
 
 def random_perturbation(d: FramedDiagram, rng: random.Random,
                         steps: int = 3, max_crossings: int = 14) -> FramedDiagram:
-    """Apply a few random R2/R3 moves; returns a regular-isotopic diagram."""
+    """Apply a few random R2/R3 moves; returns a regular-isotopic diagram.
+
+    Each step draws uniformly among the poke sites (when the crossing cap
+    allows two more crossings), the R2 removals and the R3 moves, in that
+    order, and builds only the poke it draws."""
     cur = d
     for _ in range(steps):
-        moves: list[FramedDiagram] = []
-        if cur.n_crossings + 2 <= max_crossings:
-            moves.extend(r2_insertions(cur))
-        moves.extend(r2_removals(cur))
-        moves.extend(r3_moves(cur))
-        if not moves:
+        sites = _poke_sites(cur) if cur.n_crossings + 2 <= max_crossings \
+            else []
+        others = list(r2_removals(cur))
+        others.extend(r3_moves(cur))
+        if not sites and not others:
             break
-        cur = moves[rng.randrange(len(moves))]
+        i = rng.randrange(len(sites) + len(others))
+        cur = _poke(cur, sites[i]) if i < len(sites) else \
+            others[i - len(sites)]
     return cur

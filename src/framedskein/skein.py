@@ -24,7 +24,7 @@ at ``t = e^x`` into a ``PowerSeries`` of the requested order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .diagram import (
@@ -134,8 +134,12 @@ class SkeinParams:
         return _Engine(alpha, alpha_inv, z, delta, unknot, value, z_reach)
 
 
+@cache
 def default_params(ring: str = "laurent", n: int = 0, order: int = 8,
                    normalization: str = "unit") -> SkeinParams:
+    """The preset parameter set of a ring.  Presets are cached, so equal
+    calls return the same object; ``SkeinParams`` is frozen, and callers
+    that need other fields use ``dataclasses.replace``."""
     if ring == "laurent":
         a = LaurentPoly.var_a()
         z = LaurentPoly.var_z()

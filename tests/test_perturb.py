@@ -4,9 +4,12 @@ import zlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedskein import perturb
 from framedskein.corpus import DEFAULT_SEED, generate_corpus
 from framedskein.diagram import parse_diagram, serialize_pd
 from framedskein.perturb import (
+    _poke_sites,
+    _try_poke,
     r2_insertions,
     r2_removals,
     r3_moves,
@@ -19,6 +22,34 @@ WORDS = ["s1 s1", "s1 s1 s1", "s1 s2^-1 s1 s2^-1", "s1 s2 s1"]
 
 def braid(word):
     return parse_diagram(word, "braid")
+
+
+def resolved_corpus():
+    return [e.diagram() for e in generate_corpus(DEFAULT_SEED)
+            if e.n_flat == 0]
+
+
+def random_braid(rng):
+    width = rng.randint(2, 5)
+    return braid(" ".join(f"s{rng.randint(1, width - 1)}"
+                          f"{rng.choice(('', '^-1'))}"
+                          for _ in range(rng.randint(1, 9))))
+
+
+def site_rule_diagrams():
+    """Resolved corpus entries, random perturbations of them, random
+    2-5-strand braid closures and disjoint unions of those."""
+    rng = random.Random(11)
+    corpus = resolved_corpus()
+    out = list(corpus)
+    for d in corpus:
+        out.append(random_perturbation(d, rng, steps=rng.randint(1, 2),
+                                       max_crossings=11))
+    braids = [random_braid(rng) for _ in range(60)]
+    out.extend(braids)
+    for _ in range(10):
+        out.append(rng.choice(braids).disjoint_union(rng.choice(corpus)))
+    return out
 
 
 class TestR2:
@@ -45,6 +76,56 @@ class TestR2:
     def test_twisted_bigon_not_removable(self):
         # the Hopf bigons are clasps, not cancelling pairs
         assert list(r2_removals(braid("s1 s1"))) == []
+
+
+class TestPokeSites:
+    def test_sites_match_the_exhaustive_filter(self):
+        # Every flip pair that gives a removable poke, found by building
+        # all four, in the order the sites come: equal flips only, the
+        # flipped one exactly when the mates share a face.
+        triples = 0
+        for d in site_rule_diagrams():
+            valid = []
+            for face in d.faces():
+                for e1 in face:
+                    for e2 in face:
+                        if e2 in (e1, d.mate[e1]):
+                            continue
+                        triples += 1
+                        valid.extend((e1, e2, p, q)
+                                     for q in (False, True)
+                                     for p in (False, True)
+                                     if _try_poke(d, e1, e2, p, q) is not None)
+            assert valid == [(e1, e2, f, f) for e1, e2, f in _poke_sites(d)]
+        assert triples > 10000
+
+    def _count_pokes(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _try_poke(*args)
+        monkeypatch.setattr(perturb, "_try_poke", counted)
+        return calls
+
+    def test_only_the_picked_poke_is_built(self, monkeypatch):
+        calls = self._count_pokes(monkeypatch)
+        big = [d for d in resolved_corpus() if d.n_crossings >= 6]
+        assert big
+        for d in big:
+            for steps in (1, 2, 3):
+                for seed in range(4):
+                    calls.clear()
+                    random_perturbation(d, random.Random(seed), steps=steps,
+                                        max_crossings=d.n_crossings + 6)
+                    assert len(calls) <= steps
+
+    def test_insertions_build_one_poke_per_site(self, monkeypatch):
+        calls = self._count_pokes(monkeypatch)
+        for d in resolved_corpus():
+            calls.clear()
+            pokes = list(r2_insertions(d))
+            assert len(calls) == len(pokes) == len(_poke_sites(d))
 
 
 class TestR3:
@@ -112,3 +193,16 @@ class TestRandomPerturbation:
                     texts.append(serialize_pd(p))
         assert len(texts) == 165
         assert zlib.crc32("".join(texts).encode()) == 3319466072
+
+    def test_benchmark_perturbations_and_pokes_unchanged(self):
+        # The seed map at the invariance benchmark's crossing cap, one
+        # and two steps, and every poke of every resolved entry in the
+        # order r2_insertions yields them.
+        entries = resolved_corpus()
+        texts = [serialize_pd(random_perturbation(d, random.Random(seed),
+                                                  steps, max_crossings=11))
+                 for d in entries for seed in (3, 4) for steps in (1, 2)]
+        for d in entries:
+            texts.extend(serialize_pd(p) for p in r2_insertions(d))
+        assert len(texts) == 3352
+        assert zlib.crc32("".join(texts).encode()) == 3803753861

@@ -188,15 +188,26 @@ class TestNormalizations:
 
     def test_audit_catches_wrong_delta_sign(self):
         good = default_params("laurent")
-        bad = default_params("laurent")
-        object.__setattr__(bad, "delta",
-                           ONE - (A - A ** -1) * Z ** -1)
+        bad = dataclasses.replace(good, delta=ONE - (A - A ** -1) * Z ** -1)
         report = convention_audit(bad)
         assert not report.ok
         assert good != bad
 
 
 class TestMachinery:
+    def test_default_params_cached(self):
+        assert default_params("laurent") is default_params("laurent")
+        cached = default_params("series", n=1, order=8)
+        assert default_params("series", n=1, order=8) is cached
+        fresh = default_params.__wrapped__("series", n=1, order=8)
+        assert fresh == cached and fresh is not cached
+        for word in ("s1 s1", "s1 s1 s1", "s1 s2^-1 s1 s2^-1"):
+            assert evaluate_series(braid(word), 1, 8) == \
+                evaluate(braid(word), fresh)
+        for _ in range(2):  # a failed preset is not cached
+            with pytest.raises(AuditError):
+                default_params("series", normalization="prop42")
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             evaluate_laurent(braid("s1 s2^-1 s1 s2^-1"), budget=2)
