@@ -224,10 +224,14 @@ _audited: set[SkeinParams] = set()
 
 
 def _ensure_audited(params: SkeinParams) -> None:
-    if params in _audited:
+    # A flag on the object spares hashing every field on each evaluate;
+    # equal objects share the audit through the set.
+    if "_audit_passed" in params.__dict__:
         return
-    convention_audit(params).raise_if_failed()
-    _audited.add(params)
+    if params not in _audited:
+        convention_audit(params).raise_if_failed()
+        _audited.add(params)
+    params.__dict__["_audit_passed"] = True
 
 
 # ---------------------------------------------------------------------------

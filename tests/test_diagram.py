@@ -1,7 +1,13 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_skein import C10_WORDS, kink_chain
 
+from framedskein import diagram
+from framedskein.corpus import default_corpus
 from framedskein.diagram import (
     DiagramError,
     FramedDiagram,
@@ -14,6 +20,7 @@ from framedskein.diagram import (
     parse_diagram,
     serialize_pd,
 )
+from framedskein.skein import default_params, evaluate
 
 HOPF = "s1 s1"
 TREFOIL = "s1 s1 s1"
@@ -141,6 +148,168 @@ class TestCanonicalCode:
         assert parse_diagram("O", "pd").canonical_code() == "loops:1"
 
 
+def reference_walk(d, start):
+    """The walk tokens from ``start`` by their definition in the module
+    docstring, with no early abort."""
+    num, first, twice, toks = {}, {}, set(), []
+    h = home = start
+    while True:
+        c, s = h >> 2, h & 3
+        if c in num:
+            twice.add(c)
+        else:
+            num[c], first[c] = len(num), s
+        over = d.crossings[c]
+        role = 2 if over is None else (s & 1) ^ over
+        toks.append(12 * num[c] + 4 * role + ((s - first[c]) & 3))
+        h = d.mate[h ^ 2]
+        if h == home:
+            toks.append(-1)
+            once = [c for c in num if c not in twice]  # in first-visit order
+            if not once:
+                return toks
+            h = home = 4 * once[0] + ((first[once[0]] + 1) & 3)
+
+
+def reference_code(d):
+    """The canonical code by brute force: every start with the least
+    role is walked in full, with no prefilter and no pruning."""
+    if d.n_crossings == 0:
+        return f"loops:{d.free_loops}"
+    pieces = {}
+    for c, root in enumerate(d._crossing_components()):
+        pieces.setdefault(root, []).append(c)
+    codes = []
+    for piece in pieces.values():
+        roles = {h: 2 if d.crossings[h >> 2] is None
+                 else (h & 1) ^ d.crossings[h >> 2]
+                 for c in piece for h in range(4 * c, 4 * c + 4)}
+        least = min(roles.values())
+        best = min(reference_walk(d, h) for h, r in roles.items()
+                   if r == least)
+        codes.append(" ".join("|" if t < 0 else str(t) for t in best))
+    return ";".join(sorted(codes)) + f";loops:{d.free_loops}"
+
+
+def tree_diagrams(roots):
+    """The roots and every diagram their Laurent skein trees expand to,
+    with the reduction chain of each root."""
+    out = []
+    for d in roots:
+        out.append(d)
+        evaluate(d, default_params("laurent"),
+                 on_expand=lambda parent, child: out.append(child))
+        while (move := detect_reduction(d)) is not None:
+            d, _ = apply_reduction(d, move)
+            out.append(d)
+    return out
+
+
+class TestPrunedCode:
+    """The code walks only starts whose first two tokens are least and
+    skips starts that a tie shows automorphic to one already walked."""
+
+    @pytest.mark.parametrize("family", ["c10", "corpus", "torus", "kinks"])
+    def test_matches_brute_force_on_skein_trees(self, family):
+        roots = {
+            "c10": lambda: [braid(w) for w in C10_WORDS],
+            "corpus": lambda: [e.diagram() for e in default_corpus()
+                               if not e.n_flat],
+            "torus": lambda: [braid(f"s1^{k}") for k in range(1, 31)],
+            "kinks": lambda: [kink_chain(60, seed)[0] for seed in (3, 5, 7)],
+        }[family]()
+        for d in tree_diagrams(roots):
+            assert d.canonical_code() == reference_code(d)
+
+    def test_matches_brute_force_with_flat_crossings(self):
+        for word in MULTI + ["s1^6", "s1 s2 s1 s2 s1 s2"]:
+            d = braid(word)
+            for c in range(d.n_crossings):
+                d = d.make_flat(c)
+                assert d.canonical_code() == reference_code(d)
+
+    @given(st.sampled_from(WORDS + MULTI + ["s1^7", "s1 s2 s1 s2 s1 s2"]),
+           st.randoms())
+    @settings(max_examples=100)
+    def test_matches_brute_force_relabeled(self, word, rng):
+        d = braid(word)
+        if rng.random() < 0.3:
+            d = d.disjoint_union(braid(rng.choice(WORDS)))
+        n = d.n_crossings
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rot = [rng.randrange(4) for _ in range(n)]
+        again = relabeled(d, perm, rot, rng)
+        assert again.canonical_code() == reference_code(again) == \
+            reference_code(d)
+
+    def test_skipped_starts_are_cut_or_automorphic(self, monkeypatch):
+        # a least-role start that is never walked must lose on its first
+        # two tokens or have the code of a start that was walked
+        walked = set()
+        walk = diagram._walk_tokens
+
+        def recorded(crossings, mate, start, *rest):
+            walked.add(start)
+            return walk(crossings, mate, start, *rest)
+        monkeypatch.setattr(diagram, "_walk_tokens", recorded)
+        roots = [braid(w) for w in MULTI + [f"s1^{k}" for k in range(2, 9)]]
+        roots += [braid(" ".join([w] * k)) for w, k in (
+            ("s1^-1 s2^-1 s1", 3), ("s1^-1 s1^-1 s2 s3^-1", 2),
+            ("s1^-1 s2 s3^-1 s2^-1", 3))]
+        rng = random.Random(0)
+        for d in tree_diagrams(roots):
+            n = d.n_crossings
+            perm = list(range(n))
+            rng.shuffle(perm)
+            d = relabeled(d, perm, [rng.randrange(4) for _ in range(n)])
+            walked.clear()
+            diagram._canonical_code(d)
+            # the trees have no flat crossings: the starts are over entries
+            codes = {h: reference_walk(d, h) for h in range(4 * n)
+                     if h & 1 == d.crossings[h >> 2]}
+            pieces = d._crossing_components()
+            for h, toks in codes.items():
+                rivals = [t for t in codes if pieces[t >> 2] == pieces[h >> 2]]
+                assert h in walked \
+                    or toks[:2] > min(codes[t][:2] for t in rivals) \
+                    or any(codes[t] == toks for t in rivals if t in walked)
+
+    @staticmethod
+    def count_walks(monkeypatch, roots):
+        params = default_params("laurent")
+        evaluate(braid("s1"), params)  # the audit codes diagrams too
+        counts = {"walks": 0, "codes": 0}
+        walk, code = diagram._walk_tokens, diagram._canonical_code
+
+        def counted_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        def counted_code(d):
+            counts["codes"] += 1
+            return code(d)
+        monkeypatch.setattr(diagram, "_walk_tokens", counted_walk)
+        monkeypatch.setattr(diagram, "_canonical_code", counted_code)
+        for d in roots:
+            evaluate(d, params)
+        return counts
+
+    def test_torus_closures_need_few_walks(self, monkeypatch):
+        # every over entry of s1^k ties; the automorphisms found by the
+        # first ties leave about 2.7 walks per code over these trees
+        counts = self.count_walks(
+            monkeypatch, [braid(f"s1^{k}") for k in range(1, 61)])
+        assert counts["walks"] <= 3 * counts["codes"]
+
+    def test_kink_chain_walks(self, monkeypatch):
+        # walking every least-role start took 14,520 walks for these 121
+        # codes; the first two tokens leave 1,867
+        counts = self.count_walks(monkeypatch, [kink_chain(120, seed=3)[0]])
+        assert counts["codes"] == 121
+        assert counts["walks"] <= 14520 // 4
+
+
 class TestReductions:
     def test_priority_free_loop_first(self):
         d = braid("s1").add_free_loops(1)
@@ -262,6 +431,18 @@ class TestParsing:
             parse_diagram("O\nX[1,2", "pd")
         assert info.value.pos == 2
         assert str(info.value).count("position") == 1
+
+    def test_wide_idle_braid_closure_is_small(self):
+        # only the two strands of the letter get entries; the rest are
+        # counted as free loops
+        tracemalloc.start()
+        try:
+            d = parse_diagram("s9999999", "braid")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (d.n_crossings, d.free_loops) == (1, 9999998)
+        assert peak < 2**20
 
     def test_bad_braid_token(self):
         with pytest.raises(ParseError):

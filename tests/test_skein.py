@@ -208,6 +208,33 @@ class TestMachinery:
             with pytest.raises(AuditError):
                 default_params("series", normalization="prop42")
 
+    def test_audited_params_are_not_hashed_again(self, monkeypatch):
+        from framedskein import skein
+        hashes, audits = [], []
+        audit = skein.convention_audit
+
+        def counted_hash(params):
+            hashes.append(1)
+            return hash((params.ring, params.n, params.order))
+
+        def counted_audit(params):
+            audits.append(1)
+            return audit(params)
+        monkeypatch.setattr(SkeinParams, "__hash__", counted_hash)
+        monkeypatch.setattr(skein, "convention_audit", counted_audit)
+        monkeypatch.setattr(skein, "_audited", set())
+        params = default_params.__wrapped__("series", n=0, order=5)
+        evaluate(braid("s1 s1"), params)
+        assert audits == [1] and hashes
+        hashes.clear()
+        for _ in range(3):
+            evaluate(braid("s1 s1"), params)
+        assert hashes == []
+        # an equal object shares the audit and is hashed once to find it
+        evaluate(braid("s1 s1"),
+                 default_params.__wrapped__("series", n=0, order=5))
+        assert audits == [1] and len(hashes) == 1
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             evaluate_laurent(braid("s1 s2^-1 s1 s2^-1"), budget=2)
@@ -270,16 +297,23 @@ class TestClosedForms:
 
     def test_torus_closures(self):
         # T(2,k): F_k = F_(k-2) + z (F_(k-1) - a^-(k-1)), F_0 = delta,
-        # F_1 = a.
-        forms = [ONE + (A - A ** -1) * Z ** -1, A]
-        for k in range(2, 21):
-            forms.append(forms[k - 2] + Z * (forms[k - 1] - A ** -(k - 1)))
-        for k, form in enumerate(forms):
-            assert evaluate_laurent(braid(f"s1^{k}")) == form, k
+        # F_1 = a.  The forms are int dicts {(deg_a, deg_z): coefficient}:
+        # F_200 has 10,202 terms, too many for LaurentPoly's Fraction sums.
+        forms = [{(0, 0): 1, (1, -1): 1, (-1, -1): -1}, {(1, 0): 1}]
+        for k in range(2, 201):
+            form = dict(forms[k - 2])
+            for (i, j), c in [*forms[k - 1].items(), ((1 - k, 0), -1)]:
+                form[i, j + 1] = form.get((i, j + 1), 0) + c
+            forms.append({e: c for e, c in form.items() if c})
+        assert LaurentPoly(forms[0]) == ONE + (A - A ** -1) * Z ** -1
+        for k in [*range(21), 100, 200]:
+            assert evaluate_laurent(braid(f"s1^{k}")) == \
+                LaurentPoly(forms[k]), k
 
     def test_kink_chain(self):
-        d, w = kink_chain(80, seed=3)
-        assert evaluate_laurent(d) == A ** w
+        for n, seed in ((80, 3), (400, 7)):
+            d, w = kink_chain(n, seed)
+            assert evaluate_laurent(d) == A ** w
 
     def test_reduction_chain_needs_no_frame_per_step(self):
         d, w = kink_chain(150, seed=5)
