@@ -14,12 +14,16 @@ from .diagram import (
     parse_diagram,
     serialize_pd,
 )
-from .oracle import BracketPoly, bracket_statesum, specialization_check
+from .oracle import (
+    BracketPoly,
+    bracket_statesum,
+    laurent_to_series,
+    specialization_check,
+)
 from .ring import (
     BiSeries,
     GaussRational,
     LaurentPoly,
-    LaurentSeries,
     NotAUnitError,
     OrderMismatchError,
     PowerSeries,
@@ -50,7 +54,6 @@ from .skein import (
     evaluate,
     evaluate_laurent,
     evaluate_series,
-    laurent_to_series,
 )
 
 __all__ = [
@@ -63,7 +66,6 @@ __all__ = [
     "FramingEvent",
     "GaussRational",
     "LaurentPoly",
-    "LaurentSeries",
     "NotAUnitError",
     "OrderMismatchError",
     "ParseError",

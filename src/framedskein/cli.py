@@ -16,7 +16,7 @@ import zlib
 
 from . import corpus as corpus_mod
 from .diagram import DiagramError, ParseError, parse_diagram
-from .oracle import bracket_statesum, specialization_check
+from .oracle import bracket_statesum, laurent_to_series, specialization_check
 from .perturb import random_perturbation
 from .ring import laurent_to_json, series_to_json
 from .singular import finite_type_vanishing
@@ -29,7 +29,6 @@ from .skein import (
     evaluate,
     evaluate_laurent,
     evaluate_series,
-    laurent_to_series,
 )
 
 EXIT_OK = 0

@@ -6,14 +6,19 @@ smoothing rule is shared with the main engine.  The bracket satisfies
 the same one-crossing laws as the two-variable engine specialized at
 ``a = -A^3, z = A - A^-1`` (with loop value ``-A^2 - A^-2``), which
 gives an exact cross-check on whole diagrams.
+
+The same specialization at ``a = t^(n+1)``, expanded at ``t = e^x``,
+is the bridge from a Laurent value to the series ring
+(:func:`laurent_to_series`), which ties the two engine rings together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .diagram import DiagramError, FramedDiagram
-from .ring import GaussRational, LaurentPoly
+from .ring import GaussRational, LaurentPoly, PowerSeries
 from .skein import evaluate_laurent
 
 MAX_STATESUM_CROSSINGS = 20
@@ -128,32 +133,60 @@ def bracket_statesum(d: FramedDiagram) -> BracketPoly:
     return total
 
 
-def specialize_to_bracket(p: LaurentPoly) -> BracketPoly:
-    """Evaluate a two-variable value at ``a = -A^3, z = A - A^-1``.
+def _specialize(p: LaurentPoly, k: int, sign: int) -> dict[int, Fraction]:
+    """Evaluate a two-variable value at ``a = sign*A^k, z = A - A^-1``.
 
-    Negative powers of z are cleared first and divided back out exactly;
-    the division is exact for every actual invariant value.
+    Returns the one-variable Laurent polynomial ``{deg: coeff}`` in A.
+    Negative powers of z are cleared by multiplying through by
+    ``(A - A^-1)^K`` and divided back out exactly.  A z-pole that does
+    not cancel, or a non-real coefficient, raises ``ArithmeticError``.
     """
     zK = max(0, -p.min_z_degree())
-    zb = BracketPoly({1: 1, -1: -1})
     num: dict[int, Fraction] = {}
     for (da, dz), coeff in p.terms.items():
         if coeff.im != 0:
             raise ArithmeticError("value has a non-real coefficient")
-        mono = BracketPoly.monomial(3 * da, (-1) ** (da % 2))
-        term = mono * zb ** (dz + zK)
-        for deg, c in term.terms.items():
-            num[deg] = num.get(deg, Fraction(0)) + coeff.re * c
+        c = coeff.re * sign ** (da % 2)
+        m = dz + zK
+        # (A - A^-1)^m = sum_j (-1)^j C(m, j) A^(m - 2j)
+        for j in range(m + 1):
+            deg = k * da + m - 2 * j
+            num[deg] = num.get(deg, 0) + (-1) ** j * comb(m, j) * c
     num = {d: c for d, c in num.items() if c}
-    # exact division by (A - A^-1)^K
     for _ in range(zK):
         num = _divide_by_z(num)
-    out: dict[int, int] = {}
-    for deg, c in num.items():
-        if c.denominator != 1:
-            raise ArithmeticError("specialization is not integral")
-        out[deg] = int(c)
-    return BracketPoly(out)
+    return num
+
+
+def specialize_to_bracket(p: LaurentPoly) -> BracketPoly:
+    """Evaluate a two-variable value at ``a = -A^3, z = A - A^-1``.
+
+    The division by the cleared powers of z is exact for every actual
+    invariant value, and the result must have integer coefficients.
+    """
+    num = _specialize(p, 3, -1)
+    if any(c.denominator != 1 for c in num.values()):
+        raise ArithmeticError("specialization is not integral")
+    return BracketPoly({d: int(c) for d, c in num.items()})
+
+
+def laurent_to_series(p: LaurentPoly, n: int, order: int) -> PowerSeries:
+    """Substitute ``a -> t^(n+1), z -> t - t^-1`` at ``t = e^x``.
+
+    The value is first specialized to a Laurent polynomial in ``t``, with
+    its z-poles divided out exactly, then expanded: the ``x^m``
+    coefficient of ``sum_j c_j t^j`` is ``sum_j c_j j^m / m!``.  This
+    shares no arithmetic with the series engine's own ``Z[t^±1]`` path.
+    """
+    num = _specialize(p, n + 1, 1)
+    coeffs = []
+    fact = 1
+    for m in range(order + 1):
+        if m:
+            fact *= m
+        coeffs.append(GaussRational.of(
+            Fraction(sum(c * j ** m for j, c in num.items()), fact)))
+    return PowerSeries(order, coeffs)
 
 
 def _divide_by_z(num: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -2,15 +2,12 @@
 
 Everything here is computed over the Gaussian rationals (complex numbers
 with rational real and imaginary part), so all downstream identities can
-be tested with exact equality.  Four carrier rings are provided:
+be tested with exact equality.  Three carrier rings are provided:
 
 * :class:`LaurentPoly` -- sparse Laurent polynomials in two variables
   ``a`` and ``z``;
 * :class:`PowerSeries` -- univariate power series in ``x`` truncated at an
   explicit order;
-* :class:`LaurentSeries` -- power series with a finite principal part,
-  used only as a substitution bridge (``z`` maps to a series of positive
-  valuation, so its negative powers pick up poles that must cancel);
 * :class:`BiSeries` -- bivariate series in ``x, y`` truncated by total
   degree.
 
@@ -382,145 +379,6 @@ def series_exp(c, order: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Laurent series (finite principal part)
-
-
-class LaurentSeries:
-    """Series ``sum c_k x^k`` for ``min_deg <= k <= order``.
-
-    ``order`` is the largest exponent whose coefficient is trusted; binary
-    operations propagate it conservatively, so products of series with
-    poles lose high-order terms as expected.
-    """
-
-    __slots__ = ("min_deg", "order", "coeffs")
-
-    def __init__(self, min_deg: int, order: int, coeffs: Iterable):
-        cs = [_coerce(c) for c in coeffs]
-        if len(cs) != order - min_deg + 1:
-            raise ValueError("coefficient count does not match degree range")
-        # Strip exactly-zero leading coefficients; the valuation matters for
-        # multiplication precision, so keep it tight.
-        while cs and min_deg < 0 and cs[0].is_zero():
-            cs.pop(0)
-            min_deg += 1
-        if not cs:
-            min_deg = order
-            cs = [ZERO]
-        self.min_deg = min_deg
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def from_power_series(ps: PowerSeries) -> "LaurentSeries":
-        return LaurentSeries(0, ps.order, ps.coeffs)
-
-    @staticmethod
-    def constant(c, order: int) -> "LaurentSeries":
-        return LaurentSeries(0, order, [_coerce(c)] + [ZERO] * order)
-
-    def coeff(self, k: int) -> GaussRational:
-        if k < self.min_deg:
-            return ZERO
-        if k > self.order:
-            raise OrderMismatchError(f"coefficient of x^{k} beyond trusted order")
-        return self.coeffs[k - self.min_deg]
-
-    def valuation(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return self.min_deg + k
-        return self.order + 1
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        m = min(self.min_deg, other.min_deg)
-        o = min(self.order, other.order)
-        out = [self.coeff(k) + other.coeff(k) for k in range(m, o + 1)]
-        return LaurentSeries(m, o, out)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_deg, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        m = self.min_deg + other.min_deg
-        o = min(self.order + other.min_deg, other.order + self.min_deg)
-        out = [ZERO] * (o - m + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            di = self.min_deg + i
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                d = di + other.min_deg + j
-                if d > o:
-                    break
-                out[d - m] = out[d - m] + a * b
-        return LaurentSeries(m, o, out)
-
-    def scale(self, c) -> "LaurentSeries":
-        c = _coerce(c)
-        return LaurentSeries(self.min_deg, self.order, [k * c for k in self.coeffs])
-
-    def inverse(self) -> "LaurentSeries":
-        v = self.valuation()
-        if v > self.order:
-            raise NotAUnitError("cannot invert a series that is zero to working order")
-        # self = x^v * u with u a unit power series
-        length = self.order - v
-        unit = PowerSeries(length, self.coeffs[v - self.min_deg:])
-        inv = unit.inverse()
-        return LaurentSeries(-v, -v + length, inv.coeffs)
-
-    def __pow__(self, k: int) -> "LaurentSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        if k == 0:
-            return LaurentSeries.constant(1, self.order)
-        # Repeated multiplication keeps the precision bookkeeping honest.
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
-    def has_principal_part(self) -> bool:
-        return self.valuation() < 0
-
-    def to_power_series(self, order: int | None = None) -> PowerSeries:
-        """Embed into a plain power series; the principal part must vanish."""
-        if self.has_principal_part():
-            raise ValueError("series has a non-vanishing principal part")
-        if order is None:
-            order = self.order
-        if order > self.order:
-            raise OrderMismatchError("requested order beyond trusted order")
-        return PowerSeries(order, [self.coeff(k) for k in range(order + 1)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        o = min(self.order, other.order)
-        m = min(self.min_deg, other.min_deg)
-        return all(self.coeff(k) == other.coeff(k) for k in range(m, o + 1))
-
-    def __str__(self) -> str:
-        parts = []
-        for k in range(self.min_deg, self.order + 1):
-            c = self.coeff(k)
-            if c.is_zero():
-                continue
-            mono = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"LaurentSeries([{self.min_deg},{self.order}], {self})"
-
-
-# ---------------------------------------------------------------------------
 # Bivariate series truncated by total degree
 
 
@@ -673,35 +531,6 @@ def loop_factor_series(n: int, order: int) -> PowerSeries:
     """
     return _IntPoly.loop_factor(n).t_series(order)
 
-
-def substitute_laurent(p: LaurentPoly, a_val, z_val):
-    """Evaluate a Laurent polynomial at ring elements ``a_val, z_val``.
-
-    The values may be any elements supporting ``+``, ``*``, ``scale`` and
-    (when negative exponents occur) ``inverse``; in practice they are
-    :class:`LaurentSeries` for the series bridge and Laurent monomials for
-    degree shifts.
-    """
-    result = None
-    for (da, dz), c in p.sorted_terms():
-        term = None
-        if da:
-            term = a_val ** da
-        if dz:
-            zp = z_val ** dz
-            term = zp if term is None else term * zp
-        if term is None:
-            if isinstance(a_val, LaurentSeries):
-                term = LaurentSeries.constant(1, a_val.order)
-            else:
-                term = a_val ** 0
-        term = term.scale(c)
-        result = term if result is None else result + term
-    if result is None:
-        if isinstance(a_val, LaurentSeries):
-            return LaurentSeries.constant(0, a_val.order)
-        return (a_val ** 0).scale(ZERO)
-    return result
 
 # ---------------------------------------------------------------------------
 # Integer Laurent polynomials: the evaluator's working ring

@@ -38,12 +38,10 @@ from .diagram import (
 from .ring import (
     _Z_LIMIT,
     LaurentPoly,
-    LaurentSeries,
     PowerSeries,
     _IntPoly,
     loop_factor_series,
     series_exp,
-    substitute_laurent,
 )
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -419,18 +417,3 @@ def evaluate_laurent(d: FramedDiagram,
                      budget: int = DEFAULT_NODE_BUDGET) -> LaurentPoly:
     return evaluate(d, default_params("laurent"), budget=budget)
 
-
-def laurent_to_series(p: LaurentPoly, n: int, order: int) -> PowerSeries:
-    """Substitute ``a -> t^(n+1), z -> t - t^(-1)`` into a Laurent value.
-
-    ``z`` vanishes to first order at ``x = 0``, so negative powers of it
-    produce principal parts; for an actual invariant value they cancel,
-    which :meth:`LaurentSeries.to_power_series` enforces.  The working
-    order is padded to absorb the precision lost to the poles.
-    """
-    depth = max(0, -p.min_z_degree())
-    work = order + 2 * (depth + 1)
-    a_val = LaurentSeries.from_power_series(series_exp(n + 1, work))
-    z_val = LaurentSeries.from_power_series(
-        series_exp(1, work) - series_exp(-1, work))
-    return substitute_laurent(p, a_val, z_val).to_power_series(order)

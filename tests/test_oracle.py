@@ -1,20 +1,26 @@
+import json
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedskein import skein
+from framedskein.corpus import default_corpus
 from framedskein.diagram import DiagramError, FramedDiagram, parse_diagram
 from framedskein.oracle import (
     BracketPoly,
     _divide_by_z,
     bracket_statesum,
+    laurent_to_series,
     specialization_check,
     specialize_to_bracket,
 )
 from framedskein.perturb import random_perturbation
-from framedskein.skein import evaluate_laurent
+from framedskein.ring import I, LaurentPoly, _IntPoly, series_to_json
+from framedskein.skein import evaluate_laurent, evaluate_series
 
 WORDS = ["s1", "s1^-1", "s1 s1", "s1 s1 s1", "s1 s2^-1 s1 s2^-1",
          "s1 s2 s1", "s1 s1^-1 s2 s2", "s1 s2 s1 s3"]
@@ -105,6 +111,64 @@ class TestSpecialization:
         for num in ({0: Fraction(1)}, {2: Fraction(1), 0: Fraction(1)}):
             with pytest.raises(ArithmeticError):
                 _divide_by_z(num)
+
+
+@pytest.fixture(scope="module")
+def resolved_values():
+    return [evaluate_laurent(e.diagram()) for e in default_corpus()
+            if not e.n_flat]
+
+
+class TestSeriesBridge:
+    """``laurent_to_series`` against digests computed with the earlier
+    bridge, which substituted truncated Laurent series into the value."""
+
+    def test_cross_ring_set_unchanged(self, resolved_values):
+        torus = [evaluate_laurent(braid(f"s1^{k}")) for k in range(1, 21)]
+        h = 0
+        for p in resolved_values + torus:
+            for n in (-3, -2, -1, 0, 1, 2):
+                h = zlib.crc32(json.dumps(series_to_json(
+                    laurent_to_series(p, n, 6))).encode(), h)
+        assert h == 3728768558
+
+    def test_criterion_5_set_unchanged(self, resolved_values):
+        h = 0
+        for p in resolved_values:
+            for n in (0, 1, 2):
+                h = zlib.crc32(json.dumps(series_to_json(
+                    laurent_to_series(p, n, 8))).encode(), h)
+        assert h == 4097833088
+
+    def test_brackets_unchanged(self, resolved_values):
+        h = 0
+        for p in resolved_values:
+            h = zlib.crc32(json.dumps(sorted(
+                specialize_to_bracket(p).terms.items())).encode(), h)
+        assert h == 3684379973
+
+    def test_refusals(self):
+        with pytest.raises(ArithmeticError):
+            laurent_to_series(LaurentPoly.var_z(-1), 0, 4)
+        with pytest.raises(ArithmeticError):
+            laurent_to_series(LaurentPoly.term(I, 1, 0), 0, 4)
+        with pytest.raises(ArithmeticError, match="not integral"):
+            specialize_to_bracket(LaurentPoly.term(Fraction(1, 2)))
+
+    def test_shares_nothing_with_the_series_engine(self, monkeypatch):
+        words = ["s1 s1", "s1 s2^-1 s1 s2^-1", "s1^5", "s1 s2 s1 s3"]
+        cases = [(evaluate_laurent(braid(w)), n,
+                  evaluate_series(braid(w), n, 6))
+                 for w in words for n in (-3, 0, 2)]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the bridge used the engine")
+        for name in ("__mul__", "__add__", "t_series"):
+            monkeypatch.setattr(_IntPoly, name, boom)
+        monkeypatch.setattr(_IntPoly, "loop_factor", staticmethod(boom))
+        monkeypatch.setattr(skein, "evaluate", boom)
+        for p, n, want in cases:
+            assert laurent_to_series(p, n, 6) == want
 
 
 # A 3-component closure whose skein tree held two diagrams that the

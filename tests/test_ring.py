@@ -12,7 +12,6 @@ from framedskein.ring import (
     BiSeries,
     GaussRational,
     LaurentPoly,
-    LaurentSeries,
     NotAUnitError,
     OrderMismatchError,
     PowerSeries,
@@ -196,29 +195,6 @@ class TestPowerSeries:
         s = series_exp(1, 4) * PowerSeries.constant(GaussRational.of(1, 2), 4)
         blob = json.dumps(series_to_json(s))
         assert series_from_json(json.loads(blob)) == s
-
-
-class TestLaurentSeries:
-    def test_pole_inverse(self):
-        z = LaurentSeries.from_power_series(
-            series_exp(1, 8) - series_exp(-1, 8))
-        assert z.valuation() == 1
-        zi = z.inverse()
-        assert zi.min_deg == -1
-        prod = z * zi
-        assert prod.coeff(0) == ONE
-        assert all(prod.coeff(k).is_zero() for k in range(1, prod.order + 1))
-
-    def test_principal_part_guard(self):
-        z = LaurentSeries.from_power_series(
-            series_exp(1, 8) - series_exp(-1, 8))
-        with pytest.raises(ValueError):
-            z.inverse().to_power_series()
-
-    def test_precision_is_conservative(self):
-        z = LaurentSeries.from_power_series(
-            series_exp(1, 8) - series_exp(-1, 8))
-        assert (z.inverse() * z).order < 8
 
 
 class TestLoopFactor:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from framedskein.corpus import default_corpus
 from framedskein.diagram import DiagramError, parse_diagram
+from framedskein.oracle import laurent_to_series
 from framedskein.ring import (
     I,
     GaussRational,
@@ -19,7 +20,6 @@ from framedskein.ring import (
     PowerSeries,
     laurent_to_json,
     series_to_json,
-    substitute_laurent,
 )
 from framedskein.skein import (
     AuditError,
@@ -32,7 +32,6 @@ from framedskein.skein import (
     evaluate,
     evaluate_laurent,
     evaluate_series,
-    laurent_to_series,
     select_crossing,
 )
 
@@ -181,8 +180,8 @@ class TestNormalizations:
                              delta=ONE + (A - A ** -1) * zk ** -1,
                              unknot_value=ONE, one=ONE)
         hopf = evaluate_laurent(braid("s1 s1"))
-        assert evaluate(braid("s1 s1"), params) == \
-            substitute_laurent(hopf, A, zk)
+        assert evaluate(braid("s1 s1"), params) == LaurentPoly(
+            {(da, K * dz): c for (da, dz), c in hopf.terms.items()})
         with pytest.raises(DiagramError, match="packed"):
             evaluate(braid("s1^20"), params)
 
@@ -334,6 +333,12 @@ def small_diagrams():
     return ds + [braid(f"s1^{k}") for k in range(1, 9)]
 
 
+def cross_ring_diagrams():
+    """Every resolved corpus diagram and T(2,k) for k <= 20."""
+    ds = [e.diagram() for e in default_corpus() if not e.n_flat]
+    return ds + [braid(f"s1^{k}") for k in range(1, 21)]
+
+
 class TestCrossRing:
     @given(st.sampled_from(["s1 s1", "s1 s1 s1", "s1 s2 s1"]),
            st.integers(0, 2))
@@ -346,7 +351,7 @@ class TestCrossRing:
     def test_every_loop_factor_branch(self):
         # n = -1 gives delta = 1, n = -2 gives delta = 0, n < -2 the
         # antisymmetric branch
-        for d in small_diagrams():
+        for d in cross_ring_diagrams():
             p = evaluate_laurent(d)
             for n in (-3, -2, -1, 0, 1, 2):
                 assert evaluate_series(d, n, 6) == \
