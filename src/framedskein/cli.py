@@ -1,7 +1,8 @@
 """Command-line front end: eval, series, bracket, verify, corpus.
 
-Exit codes: 0 success, 1 verification failure, 2 parse or input error,
-3 node budget exceeded.  All output is deterministic for a fixed seed.
+Exit codes: 0 success, 1 verification failure, 2 parse or input error
+(including an unreadable file or a negative ``--order``), 3 node budget
+exceeded or out of memory.  All output is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.order < 0:
+        print("input error: --order must be non-negative", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return args.func(args)
     except ParseError as e:
@@ -266,6 +270,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BudgetExceededError as e:
         print(f"budget error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except OSError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        print("resource error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except AuditError as e:
         print(f"convention audit failed: {e}", file=sys.stderr)

@@ -9,11 +9,14 @@ exists, otherwise switch the first crossing met as an under-strand in the
 deterministic traversal.  The switch count of that strategy upper-bounds
 the crossing-change distance used in the lexicographic induction.
 
-Reduction chains are followed in a loop, not by recursion, so the stack
-grows only at branch points and split remainders; every diagram on a
-chain is still memoized under its canonical code.
+The evaluator keeps an explicit stack instead of recursing: each entry
+follows one reduction chain in a loop and suspends, as a generator, at a
+branch point or a split remainder until the driver loop sends it the
+child's value.  The Python stack therefore stays flat however deep the
+skein tree is, and only the memo's size limits the input.  Every
+diagram on a chain is still memoized under its canonical code.
 
-The recursion runs in integer rings (see :class:`ring._IntPoly`): in
+The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
 ``a = t^(n+1)``, ``z = t - t^-1`` for the series ring, with no
 truncation.  Memo values are these integer polynomials.  The value
@@ -347,7 +350,9 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
 
     def go(cur: FramedDiagram):
         # Follow the reduction chain down to a memo hit, a descending leaf
-        # or a branch point, then multiply the factors back up it.
+        # or a branch point, then multiply the factors back up it.  The
+        # value of each child diagram (switched, A, B, split remainder)
+        # comes back from the driver loop below through ``yield``.
         nonlocal nodes
         chain: list[tuple[str, Bookkeeping]] = []
         while True:
@@ -360,47 +365,54 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
                 raise BudgetExceededError(
                     f"skein tree exceeded the node budget of {budget}")
             red = detect_reduction(cur)
-            if red is None:
-                val = memo[code] = expand(cur)
-                break
-            cur, bk = apply_reduction(cur, red)
-            chain.append((code, bk))
+            if red is not None:
+                cur, bk = apply_reduction(cur, red)
+                chain.append((code, bk))
+                continue
+            bad = cur.bad_crossings()
+            if not bad:
+                # A globally descending diagram is a stacked framed unlink;
+                # the kink and loop laws force its value.  A crossingless
+                # irreducible diagram is a single circle (m = 1, w = 0).
+                w = cur.total_self_writhe()
+                m = cur.n_components()
+                val = alpha ** w * delta ** (m - 1) * eng.unknot
+            else:
+                c = bad[0] if select is None else select(cur)
+                switched = cur.switch_crossing(c)
+                a_sm = cur.smooth(c, "A")
+                b_sm = cur.smooth(c, "B")
+                if on_expand is not None:
+                    for child in (switched, a_sm, b_sm):
+                        on_expand(cur, child)
+                val = (yield switched) + eng.z * ((yield a_sm) - (yield b_sm))
+            memo[code] = val
+            break
         for code, bk in reversed(chain):
             if bk.kind == "delta":
                 val = delta * val
             elif bk.kind == "kink":
                 val = (alpha if bk.kink_sign > 0 else alpha_inv) * val
             elif bk.kind == "split":
-                val = delta * val * go(bk.remainder)
+                val = delta * val * (yield bk.remainder)
             memo[code] = val
         return val
 
-    def expand(cur: FramedDiagram):
-        # value of an irreducible diagram: a leaf or a branch point
-        bad = cur.bad_crossings()
-        if not bad:
-            # A globally descending diagram is a stacked framed unlink;
-            # the kink and loop laws force its value.  A crossingless
-            # irreducible diagram is a single circle (m = 1, w = 0).
-            w = cur.total_self_writhe()
-            m = cur.n_components()
-            return alpha ** w * delta ** (m - 1) * eng.unknot
-        c = bad[0] if select is None else select(cur)
-        switched = cur.switch_crossing(c)
-        a_sm = cur.smooth(c, "A")
-        b_sm = cur.smooth(c, "B")
-        if on_expand is not None:
-            for child in (switched, a_sm, b_sm):
-                on_expand(cur, child)
-        return go(switched) + eng.z * (go(a_sm) - go(b_sm))
-
-    try:
-        return eng.value(go(d))
-    finally:
-        # go and expand hold each other through their closure cells;
-        # emptying the cells frees the memo now, not at the next cyclic
-        # garbage collection.
-        del go, expand
+    # The suspended calls of ``go`` form an explicit stack, so the Python
+    # stack stays flat however deep the skein tree is.
+    stack = [go(d)]
+    val = None
+    while True:
+        try:
+            child = stack[-1].send(val)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return eng.value(done.value)
+            val = done.value
+        else:
+            stack.append(go(child))
+            val = None
 
 
 def evaluate_series(d: FramedDiagram, n: int, order: int,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from framedskein import cli
 from framedskein.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -111,6 +112,28 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "--text", "s1 s2^-1 s1 s2^-1",
                          "--format", "braid")
         assert code == EXIT_BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--ring", "series"), ("series",)])
+    def test_negative_order_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--text", "O", "--order", "-1")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("input error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--in"), ("verify", "--suite", "oracle", "--corpus")])
+    def test_unreadable_file_is_input_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, str(tmp_path / "missing"))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("input error") and err.count("\n") == 1
+
+    def test_out_of_memory_is_resource_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "evaluate", exhausted)
+        code, out, err = run(capsys, "eval", "--text", "O")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("resource error") and err.count("\n") == 1
 
     def test_bad_normalization_fails_audit(self, capsys):
         code, _, err = run(capsys, "eval", "--text", "s1",

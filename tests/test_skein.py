@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import inspect
 import json
 import random
@@ -55,6 +56,20 @@ def kink_chain(n, seed):
         d = d.add_kink(d.arcs[rng.randrange(len(d.arcs))], sign)
         w += sign
     return d, w
+
+
+def torus_forms(kmax):
+    """Closed forms F_0..F_kmax of the torus closures T(2,k) = s1^k:
+    F_k = F_(k-2) + z (F_(k-1) - a^-(k-1)), F_0 = delta, F_1 = a.  The
+    forms are int dicts {(deg_a, deg_z): coefficient}: F_200 has 10,202
+    terms, too many for LaurentPoly's Fraction sums."""
+    forms = [{(0, 0): 1, (1, -1): 1, (-1, -1): -1}, {(1, 0): 1}]
+    for k in range(2, kmax + 1):
+        form = dict(forms[k - 2])
+        for (i, j), c in [*forms[k - 1].items(), ((1 - k, 0), -1)]:
+            form[i, j + 1] = form.get((i, j + 1), 0) + c
+        forms.append({e: c for e, c in form.items() if c})
+    return forms
 
 
 class TestWorkedExamples:
@@ -255,6 +270,25 @@ class TestMachinery:
         assert len(memo) == 683
         assert len(edges) == 3 * 159
 
+    def test_memo_released_without_cyclic_gc(self):
+        # An evaluation leaves no reference cycle behind, so its memo is
+        # freed when it returns or raises, not at the next collection.
+        word = ("s3 s2 s2 s1^-1 s2 s1 s2^-1 s3^-1 s2 s1^-1 s3^-1 s2^-1 "
+                "s1^-1 s2 s1 s1")
+        d = braid(word)
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_laurent(d)
+            assert gc.collect() == 0
+            evaluate_series(d, 1, 8)
+            assert gc.collect() == 0
+            with pytest.raises(BudgetExceededError):
+                evaluate_laurent(d, budget=50)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_memo_bound_to_params(self):
         memo = MemoTable()
         laurent = default_params("laurent")
@@ -295,15 +329,7 @@ class TestClosedForms:
     computed here without the evaluator."""
 
     def test_torus_closures(self):
-        # T(2,k): F_k = F_(k-2) + z (F_(k-1) - a^-(k-1)), F_0 = delta,
-        # F_1 = a.  The forms are int dicts {(deg_a, deg_z): coefficient}:
-        # F_200 has 10,202 terms, too many for LaurentPoly's Fraction sums.
-        forms = [{(0, 0): 1, (1, -1): 1, (-1, -1): -1}, {(1, 0): 1}]
-        for k in range(2, 201):
-            form = dict(forms[k - 2])
-            for (i, j), c in [*forms[k - 1].items(), ((1 - k, 0), -1)]:
-                form[i, j + 1] = form.get((i, j + 1), 0) + c
-            forms.append({e: c for e, c in form.items() if c})
+        forms = torus_forms(200)
         assert LaurentPoly(forms[0]) == ONE + (A - A ** -1) * Z ** -1
         for k in [*range(21), 100, 200]:
             assert evaluate_laurent(braid(f"s1^{k}")) == \
@@ -315,14 +341,22 @@ class TestClosedForms:
             assert evaluate_laurent(d) == A ** w
 
     def test_reduction_chain_needs_no_frame_per_step(self):
+        # Neither a reduction chain nor a deep skein tree (s1^150, and a
+        # branchy 3-braid) costs a Python frame per step.
         d, w = kink_chain(150, seed=5)
+        branchy = braid("s1 s2^-1 " * 9)
+        expected = evaluate_laurent(branchy)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
             got = evaluate_laurent(d)
+            torus = evaluate_laurent(braid("s1^150"))
+            got_branchy = evaluate_laurent(branchy)
         finally:
             sys.setrecursionlimit(limit)
         assert got == A ** w
+        assert torus == LaurentPoly(torus_forms(150)[150])
+        assert got_branchy == expected
 
 
 def small_diagrams():
