@@ -1,8 +1,9 @@
 """Command-line front end: eval, series, bracket, verify, corpus.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or input error
-(including an unreadable file or a negative ``--order``), 3 node budget
-exceeded or out of memory.  All output is deterministic for a fixed seed.
+(including an unreadable file, a negative ``--order`` or a node budget
+below 1), 3 node budget exceeded or out of memory.  All output is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -261,6 +262,11 @@ def main(argv=None) -> int:
         print("input error: --order must be non-negative", file=sys.stderr)
         return EXIT_PARSE
     try:
+        args.node_budget = _node_budget(args)
+        if args.node_budget < 1:
+            print("input error: the node budget must be at least 1",
+                  file=sys.stderr)
+            return EXIT_PARSE
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

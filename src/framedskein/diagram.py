@@ -12,11 +12,13 @@ flags ``crossings``, the int tuple ``mate`` (``mate[h]`` is the stub at
 the other end of ``h``'s arc) and the count ``free_loops``.  ``arcs`` is
 a derived view, the sorted pairs of ``(crossing, slot)`` stubs, that the
 parsers, ``serialize_pd`` and ``add_kink`` read.  Faces, strands and
-connected pieces are computed at most once per diagram.  Only the public
-constructor ``FramedDiagram(crossings, arcs, free_loops)`` validates
-(stub range, perfect matching, over flags, planarity).  The local moves
-build their results with the private ``FramedDiagram._make``, which
-shares the parent's ``mate`` tuple when a move leaves it unchanged.
+connected pieces are computed at most once per diagram; one depth-first
+search labels each crossing with the least crossing of its piece.  Only
+the public constructor ``FramedDiagram(crossings, arcs, free_loops)``
+validates (stub range, perfect matching, over flags, planarity).  The
+local moves build their results with the private
+``FramedDiagram._make``, which shares the parent's ``mate`` tuple when a
+move leaves it unchanged.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -52,6 +54,12 @@ starts already walked are skipped (pruning after Hopcroft-Wong).  Codes
 of the pieces are sorted and joined, and ``;loops:k`` records the free
 loops.  A walk costs O(n); a torus closure ``s1^k`` takes about three
 walks per code, and a 120-kink chain about 15 where it took 120.
+
+Reductions.  ``detect_reduction`` returns the first of: a free loop, a
+split into the piece of crossing 0 and the rest, a kink (1-gon face)
+and an untwisted bigon (2-gon face).  Kinks and bigons come from one
+scan over the stubs in ascending order, which meets each face at its
+least stub, as ``faces()`` orders them, without building the faces.
 """
 
 from __future__ import annotations
@@ -157,22 +165,23 @@ class FramedDiagram:
         return all(v == 2 for v in surplus.values())
 
     def _crossing_components(self) -> list[int]:
-        """Root crossing of each crossing's connected piece."""
+        """Least crossing of each crossing's connected piece."""
         if self._pieces is None:
-            parent = list(range(self.n_crossings))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i, j in enumerate(self.mate):
-                if i < j:
-                    r1, r2 = find(i >> 2), find(j >> 2)
-                    if r1 != r2:
-                        parent[r2] = r1
-            self._pieces = [find(c) for c in range(self.n_crossings)]
+            mate = self.mate
+            pieces = [-1] * len(self.crossings)
+            for root in range(len(pieces)):
+                if pieces[root] >= 0:
+                    continue
+                pieces[root] = root
+                stack = [root]
+                while stack:
+                    h = 4 * stack.pop()
+                    for m in mate[h:h + 4]:
+                        c = m >> 2
+                        if pieces[c] < 0:
+                            pieces[c] = root
+                            stack.append(c)
+            self._pieces = pieces
         return self._pieces
 
     def faces(self) -> list[list[int]]:
@@ -582,39 +591,43 @@ Reduction = FreeLoop | DisjointSplit | R1Kink | R2Pair
 
 def detect_reduction(d: FramedDiagram) -> Optional[Reduction]:
     """First crossing-count-reducing move, in fixed priority order:
-    free loop, disjoint split, kink removal, untwisted bigon removal."""
+    free loop, disjoint split, kink removal, untwisted bigon removal.
+
+    A split puts the piece of crossing 0 first.  Kinks and bigons are
+    found in the order of ``faces()`` without building the faces: stubs
+    are scanned in ascending order, and a stub is the least of a 1-gon
+    when the turn after its arc returns to it, and of a 2-gon when two
+    turns do and the first lands on a larger stub."""
     if d.free_loops >= 1 and (d.n_crossings > 0 or d.free_loops >= 2):
         return FreeLoop()
     pieces = d._crossing_components()
-    if pieces:
-        least = min(pieces)
-        first = [c for c, root in enumerate(pieces) if root == least]
-        if len(first) < len(pieces):
-            rest = [c for c, root in enumerate(pieces) if root != least]
-            return DisjointSplit(_restrict(d, first, free_loops=0),
-                                 _restrict(d, rest, free_loops=d.free_loops))
+    if any(pieces):
+        first = [c for c, root in enumerate(pieces) if root == 0]
+        rest = [c for c, root in enumerate(pieces) if root != 0]
+        return DisjointSplit(_restrict(d, first, free_loops=0),
+                             _restrict(d, rest, free_loops=d.free_loops))
+    mate, crossings = d.mate, d.crossings
     r2 = None
-    for face in d.faces():
-        if len(face) == 1:
-            h = face[0]
-            m = d.mate[h]
-            over = d.crossings[m >> 2]
+    for h, m in enumerate(mate):
+        t = (m & -4) | ((m + 1) & 3)
+        if t == h:
+            over = crossings[m >> 2]
             if over is None:
                 continue
-            # the loop arc joins slots (s0, s0 + 1); identify s0
-            s0 = h & 3 if ((m - h) & 3) == 1 else m & 3
-            sign = 1 if over == (s0 + 1) % 2 else -1
-            return R1Kink(m >> 2, sign)
-        if len(face) == 2 and r2 is None:
-            r2 = untwisted_bigon(d, face)
+            # the loop arc joins slots (s0, s0 + 1) with h on s0 + 1
+            return R1Kink(m >> 2, 1 if over == h & 1 else -1)
+        if r2 is None and t > h:
+            u = mate[t]
+            if (u & -4) | ((u + 1) & 3) == h:
+                r2 = untwisted_bigon(d, h)
     return r2
 
 
-def untwisted_bigon(d: FramedDiagram, face: list[int]) -> Optional[R2Pair]:
-    """The R2 move that removes a 2-gon face, or ``None`` when the face is
-    twisted (one strand passes over at one corner and under at the other),
-    has a flat corner, or joins a crossing to itself."""
-    e1, _ = face
+def untwisted_bigon(d: FramedDiagram, e1: int) -> Optional[R2Pair]:
+    """The R2 move that removes the 2-gon face whose least stub is ``e1``,
+    or ``None`` when the face is twisted (one strand passes over at one
+    corner and under at the other), has a flat corner, or joins a
+    crossing to itself."""
     e2 = d.mate[e1]
     c1, c2 = e1 >> 2, e2 >> 2
     over1, over2 = d.crossings[c1], d.crossings[c2]

@@ -97,7 +97,7 @@ def _try_poke(d: FramedDiagram, e1: int, e2: int,
         return None
     # The poke must be immediately removable and give back the original.
     move = R2Pair(n, n + 1)
-    if not any(len(f) == 2 and untwisted_bigon(cand, f) == move
+    if not any(len(f) == 2 and untwisted_bigon(cand, f[0]) == move
                for f in cand.faces()):
         return None
     back, _ = apply_reduction(cand, move)
@@ -111,7 +111,7 @@ def r2_removals(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All untwisted-bigon removals (independent of reduction priority)."""
     seen = set()
     for face in d.faces():
-        move = untwisted_bigon(d, face) if len(face) == 2 else None
+        move = untwisted_bigon(d, face[0]) if len(face) == 2 else None
         if move is None or move in seen:
             continue
         seen.add(move)

@@ -14,7 +14,11 @@ follows one reduction chain in a loop and suspends, as a generator, at a
 branch point or a split remainder until the driver loop sends it the
 child's value.  The Python stack therefore stays flat however deep the
 skein tree is, and only the memo's size limits the input.  Every
-diagram on a chain is still memoized under its canonical code.
+diagram on a chain is still memoized under its canonical code.  The
+memo also keeps a code table (``MemoTable.codes``) from each stored form
+it has coded to its code, so a diagram rebuilt with the same labels
+costs one tuple hash, not a code.  The table lives and dies with its
+memo: evaluations share codes only when they share the memo.
 
 The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
@@ -293,11 +297,18 @@ class MemoTable(dict):
     Its values belong to one parameter set: the first evaluation that
     uses the table binds it, and a later one under other parameters is
     refused.
+
+    ``codes`` maps the stored form ``(crossings, mate, free_loops)`` of
+    each diagram the evaluator has coded under this memo to its code, so
+    a diagram rebuilt with the same labels is looked up by one tuple hash
+    instead of being coded again.  The key is the whole form, and the
+    table lives and dies with the memo.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.params: Optional[SkeinParams] = None
+        self.codes: dict[tuple, str] = {}
 
     def bind(self, params: SkeinParams) -> None:
         if self.params is None:
@@ -345,6 +356,7 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         raise DiagramError("diagram too large for the packed exponents")
     memo = MemoTable() if memo is None else memo
     memo.bind(params)
+    codes = memo.codes
     nodes = 0
     alpha, alpha_inv, delta = eng.alpha, eng.alpha_inv, eng.delta
 
@@ -356,7 +368,10 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         nonlocal nodes
         chain: list[tuple[str, Bookkeeping]] = []
         while True:
-            code = cur.canonical_code()
+            form = (cur.crossings, cur.mate, cur.free_loops)
+            code = codes.get(form)
+            if code is None:
+                code = codes[form] = cur.canonical_code()
             if code in memo:
                 val = memo[code]
                 break

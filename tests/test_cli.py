@@ -120,6 +120,20 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("input error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, env", [
+        (("eval", "--text", "O", "--node-budget", "-1"), None),
+        (("eval", "--text", "O", "--node-budget", "0"), None),
+        (("eval", "--text", "O"), "0"),
+        (("verify", "--suite", "oracle", "--node-budget", "-3"), None)])
+    def test_non_positive_budget_is_input_error(self, capsys, monkeypatch,
+                                                argv, env):
+        if env is not None:
+            monkeypatch.setenv("SKEIN_NODE_BUDGET", env)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert "budget" in err
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--in"), ("verify", "--suite", "oracle", "--corpus")])
     def test_unreadable_file_is_input_error(self, capsys, tmp_path, argv):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_skein import C10_WORDS, kink_chain
 
-from framedskein import diagram
+from framedskein import diagram, skein
 from framedskein.corpus import default_corpus
 from framedskein.diagram import (
     DiagramError,
+    DisjointSplit,
     FramedDiagram,
     FreeLoop,
     ParseError,
@@ -349,6 +350,154 @@ class TestReductions:
         assert bk.kind == "split"
         parts = sorted([smaller.n_crossings, bk.remainder.n_crossings])
         assert parts == [2, 3]
+
+
+def reference_pieces(d):
+    """Each crossing labelled by the least crossing reachable from it."""
+    out = []
+    for c in range(d.n_crossings):
+        reach, todo = {c}, [c]
+        while todo:
+            x = todo.pop()
+            for m in d.mate[4 * x:4 * x + 4]:
+                if m >> 2 not in reach:
+                    reach.add(m >> 2)
+                    todo.append(m >> 2)
+        out.append(min(reach))
+    return out
+
+
+def reference_reduction(d):
+    """The first reduction read off ``faces()``: R1 and R2 as the scan
+    found them before it stopped building the faces, the split from the
+    brute-force pieces with crossing 0's piece first."""
+    if d.free_loops >= 1 and (d.n_crossings > 0 or d.free_loops >= 2):
+        return FreeLoop()
+    pieces = reference_pieces(d)
+    if any(pieces):
+        first = [c for c, root in enumerate(pieces) if root == 0]
+        rest = [c for c, root in enumerate(pieces) if root != 0]
+        return DisjointSplit(diagram._restrict(d, first, free_loops=0),
+                             diagram._restrict(d, rest, d.free_loops))
+    r2 = None
+    for face in d.faces():
+        if len(face) == 1:
+            h = face[0]
+            m = d.mate[h]
+            over = d.crossings[m >> 2]
+            if over is None:
+                continue
+            s0 = h & 3 if ((m - h) & 3) == 1 else m & 3
+            return R1Kink(m >> 2, 1 if over == (s0 + 1) % 2 else -1)
+        if len(face) == 2 and r2 is None:
+            e1, _ = face
+            e2 = d.mate[e1]
+            c1, c2 = e1 >> 2, e2 >> 2
+            over1, over2 = d.crossings[c1], d.crossings[c2]
+            if c1 != c2 and over1 is not None and over2 is not None \
+                    and ((e1 & 1) == over1) == ((e2 & 1) == over2):
+                r2 = R2Pair(min(c1, c2), max(c1, c2))
+    return r2
+
+
+def form(move):
+    """A reduction as a value: diagrams compare by identity, so a split
+    is compared by the stored forms of its two parts."""
+    if isinstance(move, DisjointSplit):
+        return tuple((p.crossings, p.mate, p.free_loops)
+                     for p in (move.d1, move.d2))
+    return move
+
+
+def expanded_nodes(monkeypatch, roots):
+    """Every diagram the Laurent evaluator runs ``detect_reduction`` on
+    while it evaluates the roots."""
+    nodes = []
+    detect = skein.detect_reduction
+
+    def recorded(d):
+        nodes.append(d)
+        return detect(d)
+    monkeypatch.setattr(skein, "detect_reduction", recorded)
+    for d in roots:
+        evaluate(d, default_params("laurent"))
+    return nodes
+
+
+class TestReductionScan:
+    """The stub scan finds the reduction the ``faces()`` scan found."""
+
+    @pytest.mark.parametrize("family", ["c10", "corpus", "torus", "kinks"])
+    def test_matches_face_scan_on_skein_trees(self, monkeypatch, family):
+        roots = {
+            "c10": lambda: [braid(w) for w in C10_WORDS],
+            "corpus": lambda: [e.diagram() for e in default_corpus()
+                               if not e.n_flat],
+            "torus": lambda: [braid(f"s1^{k}") for k in range(1, 31)],
+            "kinks": lambda: [kink_chain(60, seed)[0] for seed in (3, 5, 7)],
+        }[family]()
+        nodes = expanded_nodes(monkeypatch, roots)
+        assert len(nodes) > len(roots)
+        for d in nodes:
+            assert form(detect_reduction(d)) == form(reference_reduction(d))
+
+    def test_matches_face_scan_with_flat_crossings(self):
+        # a flat 1-gon is no kink: the scan passes over it
+        roots = [braid(w) for w in MULTI + ["s1^6", "s1 s2 s1 s2 s1 s2",
+                                            "s1 s1^-1 s2", "s2 s1 s1^-1"]]
+        roots += [e.diagram() for e in default_corpus() if e.n_flat]
+        roots += [kink_chain(20, seed)[0] for seed in (3, 5)]
+        checked = 0
+        for d in roots:
+            for c in range(d.n_crossings):
+                d = d.make_flat(c)
+                e = d
+                while True:
+                    move = detect_reduction(e)
+                    assert form(move) == form(reference_reduction(e))
+                    checked += 1
+                    if move is None:
+                        break
+                    e, _ = apply_reduction(e, move)
+        assert checked > 500
+
+    def test_flat_kink_leaves_the_bigon(self):
+        for word in ("s1 s1^-1 s2", "s2 s1 s1^-1"):
+            d = braid(word)
+            kink = 2 if word.endswith("s2") else 0
+            assert isinstance(detect_reduction(d), R1Kink)
+            assert detect_reduction(d.make_flat(kink)) == R2Pair(
+                *sorted({0, 1, 2} - {kink}))
+
+
+class TestPieces:
+    """Pieces are labelled by their least crossing."""
+
+    def test_corpus_and_tree_nodes(self, monkeypatch):
+        roots = [e.diagram() for e in default_corpus()]
+        nodes = roots + expanded_nodes(
+            monkeypatch, [d for d in roots if not d.is_singular()])
+        for d in nodes:
+            assert d._crossing_components() == reference_pieces(d)
+
+    @pytest.mark.parametrize("a", [TREFOIL, FIG8, HOPF, "s1 s3"] + MULTI)
+    def test_disjoint_unions(self, a):
+        a = braid(a)
+        for b in [braid(w) for w in WORDS + ["s1 s3"]] + [
+                braid(MULTI[1]).add_free_loops(2)]:
+            for x, y in ((a, b), (b, a)):
+                u = x.disjoint_union(y)
+                k = x.n_crossings
+                halves = (diagram._restrict(u, list(range(k)), 0),
+                          diagram._restrict(u, list(range(k, u.n_crossings)),
+                                            u.free_loops))
+                for h in (u,) + halves:
+                    assert h._crossing_components() == reference_pieces(h)
+            if len(set(reference_pieces(a))) == 1 and not b.free_loops:
+                move = detect_reduction(a.disjoint_union(b))
+                assert isinstance(move, DisjointSplit)
+                assert (move.d1.crossings, move.d1.mate) == \
+                    (a.crossings, a.mate)
 
 
 class TestMoves:

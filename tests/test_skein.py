@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framedskein import diagram
 from framedskein.corpus import default_corpus
 from framedskein.diagram import DiagramError, parse_diagram
 from framedskein.oracle import laurent_to_series
@@ -22,6 +23,7 @@ from framedskein.ring import (
     laurent_to_json,
     series_to_json,
 )
+from framedskein.singular import derived_invariant
 from framedskein.skein import (
     AuditError,
     BudgetExceededError,
@@ -461,3 +463,58 @@ class TestIntegerRings:
             evaluate(d, params, memo=memo)
             assert len(memo) == 683
             assert calls == []
+
+
+class TestCodeTable:
+    """The memo codes each stored form once: a diagram rebuilt with the
+    same labels is looked up in ``MemoTable.codes`` instead of coded."""
+
+    @staticmethod
+    def counted_codes(monkeypatch, params):
+        evaluate(braid("s1"), params)  # the audit codes diagrams too
+        counts = [0]
+        code = diagram._canonical_code
+
+        def counted(d):
+            counts[0] += 1
+            return code(d)
+        monkeypatch.setattr(diagram, "_canonical_code", counted)
+        return counts
+
+    def test_criterion10_words(self, monkeypatch):
+        # 982 and 823 codes when every node was coded
+        params = default_params("laurent")
+        counts = self.counted_codes(monkeypatch, params)
+        for word, codes, nodes in zip(C10_WORDS, (859, 713), (683, 551)):
+            counts[0] = 0
+            memo = MemoTable()
+            evaluate(braid(word), params, memo=memo)
+            assert (counts[0], len(memo)) == (codes, nodes)
+            assert set(memo.codes.values()) == set(memo)
+
+    def test_resolutions_share_the_table(self, monkeypatch):
+        # 6386 codes when every node was coded
+        params = default_params("series", n=1, order=8)
+        counts = self.counted_codes(monkeypatch, params)
+        sd = braid(C10_WORDS[0])
+        for c in (0, 5, 11):
+            sd = sd.make_flat(c)
+        memo = MemoTable()
+        derived_invariant(lambda d: evaluate(d, params, memo=memo), sd)
+        assert (counts[0], len(memo)) == (5264, 4173)
+
+    def test_key_is_the_whole_form(self):
+        # forms that differ only in their flags or loop count keep
+        # separate codes
+        memo = MemoTable()
+        params = default_params("laurent")
+        d = braid("s1 s2 s1 s2")
+        for e in (d, d.switch_crossing(1), d.add_free_loops(1)):
+            evaluate(e, params, memo=memo)
+        forms = list(memo.codes)
+        assert (d.crossings, d.mate, 0) in forms
+        assert (d.switch_crossing(1).crossings, d.mate, 0) in forms
+        assert (d.crossings, d.mate, 1) in forms
+        for (crossings, mate, loops), code in memo.codes.items():
+            assert code == diagram.FramedDiagram._make(
+                crossings, mate, loops).canonical_code()
