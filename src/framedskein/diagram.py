@@ -12,13 +12,18 @@ flags ``crossings``, the int tuple ``mate`` (``mate[h]`` is the stub at
 the other end of ``h``'s arc) and the count ``free_loops``.  ``arcs`` is
 a derived view, the sorted pairs of ``(crossing, slot)`` stubs, that the
 parsers, ``serialize_pd`` and ``add_kink`` read.  Faces, strands and
-connected pieces are computed at most once per diagram; one depth-first
-search labels each crossing with the least crossing of its piece.  Only
-the public constructor ``FramedDiagram(crossings, arcs, free_loops)``
-validates (stub range, perfect matching, over flags, planarity).  The
-local moves build their results with the private
-``FramedDiagram._make``, which shares the parent's ``mate`` tuple when a
-move leaves it unchanged.
+connected pieces depend on ``mate`` alone and are computed on demand;
+one depth-first search labels each crossing with the least crossing of
+its piece.  Only the public constructor ``FramedDiagram(crossings, arcs,
+free_loops)`` validates (stub range, perfect matching, over flags,
+planarity).  The local moves build their results with the private
+``FramedDiagram._make``.  A move that keeps ``mate`` (switching,
+resolving or flattening a crossing, adding or removing free loops)
+shares the parent's ``mate`` tuple and carries its faces, strands and
+pieces, so each is computed at most once along such moves.  Removing a
+kink from a connected diagram leaves it connected, so that removal
+carries the pieces too; smoothings and bigon removals can split a
+diagram, and their results compute the pieces again.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -65,7 +70,7 @@ least stub, as ``faces()`` orders them, without building the faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 HalfEdge = tuple[int, int]  # (crossing index, slot 0..3)
 
@@ -255,36 +260,54 @@ class FramedDiagram:
         over = self.crossings[c]
         if over is None:
             raise DiagramError("flat crossing has no sign")
-        e1, e2 = self.entries_at(c)
-        over_parity = 0 if over == 0 else 1
-        if e1 % 2 == over_parity:
-            o, u = e1, e2
-        else:
-            o, u = e2, e1
-        return 1 if (u - o) % 4 == 1 else -1
+        return _sign(over, *self.entries_at(c))
+
+    def _self_writhes(self) -> list[Optional[int]]:
+        """Self-writhe of each strand, from one pass over the strands;
+        ``None`` for a strand that crosses itself at a flat crossing."""
+        crossings = self.crossings
+        strand, entry = [-1] * len(crossings), [0] * len(crossings)
+        out = []
+        for i, walk in enumerate(self.strand_components()):
+            w = 0
+            for h in walk:
+                c = h >> 2
+                if strand[c] < 0:
+                    strand[c], entry[c] = i, h & 3
+                elif strand[c] == i and w is not None:
+                    over = crossings[c]
+                    w = None if over is None else w + _sign(over, entry[c], h & 3)
+            out.append(w)
+        return out
 
     def self_writhe(self, component: int) -> int:
-        comps = self.strand_components()
-        if not 0 <= component < len(comps):
+        writhes = self._self_writhes()
+        if not 0 <= component < len(writhes):
             raise DiagramError(f"unknown component {component}")
-        counts: dict[int, int] = {}
-        for h in comps[component]:
-            counts[h >> 2] = counts.get(h >> 2, 0) + 1
-        w = 0
-        for c, k in counts.items():
-            if k == 2:
-                w += self.crossing_sign(c)
-        return w
+        if writhes[component] is None:
+            raise DiagramError("flat crossing has no sign")
+        return writhes[component]
 
     def total_self_writhe(self) -> int:
-        return sum(self.self_writhe(i) for i in range(len(self.strand_components())))
+        writhes = self._self_writhes()
+        if None in writhes:
+            raise DiagramError("flat crossing has no sign")
+        return sum(writhes)
 
     # -- local moves -------------------------------------------------------
+
+    def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
+        """A diagram on this one's ``mate``, which also shares the caches
+        that depend on ``mate`` alone: pieces, strands and faces."""
+        d = FramedDiagram._make(crossings, self.mate, free_loops)
+        d._pieces, d._components, d._faces = \
+            self._pieces, self._components, self._faces
+        return d
 
     def _with_over(self, c: int, over: Optional[int]) -> "FramedDiagram":
         new = list(self.crossings)
         new[c] = over
-        return FramedDiagram._make(tuple(new), self.mate, self.free_loops)
+        return self._same_mate(tuple(new), self.free_loops)
 
     def switch_crossing(self, c: int) -> "FramedDiagram":
         over = self.crossings[c]
@@ -325,38 +348,46 @@ class FramedDiagram:
         Chains of arcs through deleted crossings are contracted; cycles
         that close up entirely inside deleted crossings become free loops.
         """
-        mate = self.mate
+        mate = list(self.mate)
         joined: dict[int, int] = {}  # stub of a deleted crossing -> its partner
         for c, pairs in pairings.items():
             for s1, s2 in pairs:
                 joined[4 * c + s1] = 4 * c + s2
                 joined[4 * c + s2] = 4 * c + s1
-        survivors = [c for c in range(self.n_crossings) if c not in pairings]
-        renum = {c: i for i, c in enumerate(survivors)}
-        new_mate = []
-        for c in survivors:
-            for m in mate[4 * c:4 * c + 4]:
-                while m in joined:
-                    m = mate[joined[m]]
-                new_mate.append(4 * renum[m >> 2] + (m & 3))
-
-        # Walk arc/partner alternately; a walk that stays inside the
-        # deleted crossings is a closed circle.
-        loops = 0
+        # A chain runs arc, partner, arc, ... through deleted crossings.
+        # Walk each open one from an end and join its two outer stubs;
+        # the deleted stubs left unseen lie on chains closed into circles.
         seen: set[int] = set()
+        for t in joined:
+            a = mate[t]
+            if t in seen or a in joined:
+                continue
+            b = t
+            while b in joined:
+                v = joined[b]
+                seen.add(b)
+                seen.add(v)
+                b = mate[v]
+            mate[a], mate[b] = b, a
+        loops = 0
         for t in joined:
             if t in seen:
                 continue
-            u = t
-            while True:
-                v = joined[u]
-                seen.update((u, v))
-                u = mate[v]
-                if u not in joined or u == t:
-                    break
-            loops += u == t
-        return FramedDiagram._make(tuple([self.crossings[c] for c in survivors]),
-                                   tuple(new_mate), self.free_loops + loops)
+            loops += 1
+            while t not in seen:
+                v = joined[t]
+                seen.add(t)
+                seen.add(v)
+                t = mate[v]
+        # Drop the deleted crossings from the top down; no stub left
+        # points into one, so the stubs above each shift down by 4.
+        crossings = list(self.crossings)
+        for c in sorted(pairings, reverse=True):
+            del crossings[c], mate[4 * c:4 * c + 4]
+            lo = 4 * c
+            mate = [m - 4 if m > lo else m for m in mate]
+        return FramedDiagram._make(tuple(crossings), tuple(mate),
+                                   self.free_loops + loops)
 
     def add_kink(self, arc: tuple[HalfEdge, HalfEdge], sign: int) -> "FramedDiagram":
         """Insert a one-crossing curl of the given sign on an arc."""
@@ -374,7 +405,7 @@ class FramedDiagram:
                                    tuple(mate), self.free_loops)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
-        return FramedDiagram._make(self.crossings, self.mate, self.free_loops + k)
+        return self._same_mate(self.crossings, self.free_loops + k)
 
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
         off = 4 * self.n_crossings
@@ -417,6 +448,13 @@ class FramedDiagram:
         return (f"FramedDiagram({self.n_crossings} crossings, "
                 f"{len(self.strand_components())} strands, "
                 f"{self.free_loops} loops)")
+
+
+def _sign(over: int, e1: int, e2: int) -> int:
+    """Sign of a resolved crossing whose two strands enter at slots ``e1``
+    and ``e2``, in either order."""
+    o, u = (e1, e2) if e1 % 2 == over else (e2, e1)
+    return 1 if (u - o) % 4 == 1 else -1
 
 
 def _stub(h: HalfEdge, n: int) -> int:
@@ -493,7 +531,14 @@ def _walk_tokens(crossings: tuple, mate: tuple[int, ...], start: int,
     return toks
 
 
-def _piece_code(crossings: tuple, mate: tuple[int, ...], piece: list[int]) -> str:
+# The text of each token; the last entry is the strand end, so index -1
+# finds it.  Tokens of n crossings are below 12 * n; the table grows on
+# demand.
+_TOKEN_TEXT = ["|"]
+
+
+def _piece_code(crossings: tuple, mate: tuple[int, ...],
+                piece: Sequence[int]) -> str:
     """Least walk code of one connected piece over all its starts.
 
     Starts are the over entries (every entry of an all-flat piece) whose
@@ -546,14 +591,20 @@ def _piece_code(crossings: tuple, mate: tuple[int, ...], piece: list[int]) -> st
                 if t in done:
                     break
                 done.add(t)
-    return " ".join("|" if t < 0 else str(t) for t in best)
+    if len(_TOKEN_TEXT) < 12 * n:
+        _TOKEN_TEXT[:-1] = map(str, range(24 * n))
+    return " ".join([_TOKEN_TEXT[t] for t in best])
 
 
 def _canonical_code(d: FramedDiagram) -> str:
-    if d.n_crossings == 0:
+    n = d.n_crossings
+    if n == 0:
         return f"loops:{d.free_loops}"
+    roots = d._crossing_components()
+    if not any(roots):
+        return _piece_code(d.crossings, d.mate, range(n)) + f";loops:{d.free_loops}"
     pieces: dict[int, list[int]] = {}
-    for c, root in enumerate(d._crossing_components()):
+    for c, root in enumerate(roots):
         pieces.setdefault(root, []).append(c)
     codes = sorted(_piece_code(d.crossings, d.mate, p) for p in pieces.values())
     return ";".join(codes) + f";loops:{d.free_loops}"
@@ -659,12 +710,14 @@ def apply_reduction(d: FramedDiagram, move: Reduction) -> tuple[FramedDiagram, B
     if isinstance(move, FreeLoop):
         if d.free_loops < 1:
             raise DiagramError("stale move: no free loop")
-        return (FramedDiagram._make(d.crossings, d.mate, d.free_loops - 1),
-                Bookkeeping("delta"))
+        return d._same_mate(d.crossings, d.free_loops - 1), Bookkeeping("delta")
     if isinstance(move, DisjointSplit):
         return move.d1, Bookkeeping("split", remainder=move.d2)
     if isinstance(move, R1Kink):
         reduced = d.remove_crossings({move.crossing: ((0, 2), (1, 3))})
+        if d._pieces is not None and not any(d._pieces):
+            # removing a kink cannot disconnect a connected diagram
+            reduced._pieces = [0] * reduced.n_crossings
         return reduced, Bookkeeping("kink", kink_sign=move.sign)
     if isinstance(move, R2Pair):
         reduced = d.remove_crossings({move.c1: ((0, 2), (1, 3)),

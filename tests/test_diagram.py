@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_skein import C10_WORDS, kink_chain
 
-from framedskein import diagram, skein
+from framedskein import diagram, perturb, skein
 from framedskein.corpus import default_corpus
 from framedskein.diagram import (
     DiagramError,
@@ -192,6 +192,15 @@ def reference_code(d):
     return ";".join(sorted(codes)) + f";loops:{d.free_loops}"
 
 
+# Roots of the skein trees the reference tests run over.
+TREE_ROOTS = {
+    "c10": lambda: [braid(w) for w in C10_WORDS],
+    "corpus": lambda: [e.diagram() for e in default_corpus() if not e.n_flat],
+    "torus": lambda: [braid(f"s1^{k}") for k in range(1, 31)],
+    "kinks": lambda: [kink_chain(60, seed)[0] for seed in (3, 5, 7)],
+}
+
+
 def tree_diagrams(roots):
     """The roots and every diagram their Laurent skein trees expand to,
     with the reduction chain of each root."""
@@ -212,13 +221,7 @@ class TestPrunedCode:
 
     @pytest.mark.parametrize("family", ["c10", "corpus", "torus", "kinks"])
     def test_matches_brute_force_on_skein_trees(self, family):
-        roots = {
-            "c10": lambda: [braid(w) for w in C10_WORDS],
-            "corpus": lambda: [e.diagram() for e in default_corpus()
-                               if not e.n_flat],
-            "torus": lambda: [braid(f"s1^{k}") for k in range(1, 31)],
-            "kinks": lambda: [kink_chain(60, seed)[0] for seed in (3, 5, 7)],
-        }[family]()
+        roots = TREE_ROOTS[family]()
         for d in tree_diagrams(roots):
             assert d.canonical_code() == reference_code(d)
 
@@ -429,13 +432,7 @@ class TestReductionScan:
 
     @pytest.mark.parametrize("family", ["c10", "corpus", "torus", "kinks"])
     def test_matches_face_scan_on_skein_trees(self, monkeypatch, family):
-        roots = {
-            "c10": lambda: [braid(w) for w in C10_WORDS],
-            "corpus": lambda: [e.diagram() for e in default_corpus()
-                               if not e.n_flat],
-            "torus": lambda: [braid(f"s1^{k}") for k in range(1, 31)],
-            "kinks": lambda: [kink_chain(60, seed)[0] for seed in (3, 5, 7)],
-        }[family]()
+        roots = TREE_ROOTS[family]()
         nodes = expanded_nodes(monkeypatch, roots)
         assert len(nodes) > len(roots)
         for d in nodes:
@@ -498,6 +495,208 @@ class TestPieces:
                 assert isinstance(move, DisjointSplit)
                 assert (move.d1.crossings, move.d1.mate) == \
                     (a.crossings, a.mate)
+
+
+def reference_remove(d, pairings):
+    """The stored form of ``d.remove_crossings(pairings)`` by the generic
+    method: each surviving stub follows its chain through the deleted
+    crossings stub by stub, crossings are renumbered by a dict, and a
+    walk from every deleted stub finds the chains closed into circles."""
+    mate = d.mate
+    joined = {}
+    for c, pairs in pairings.items():
+        for s1, s2 in pairs:
+            joined[4 * c + s1] = 4 * c + s2
+            joined[4 * c + s2] = 4 * c + s1
+    survivors = [c for c in range(d.n_crossings) if c not in pairings]
+    renum = {c: i for i, c in enumerate(survivors)}
+    new_mate = []
+    for c in survivors:
+        for m in mate[4 * c:4 * c + 4]:
+            while m in joined:
+                m = mate[joined[m]]
+            new_mate.append(4 * renum[m >> 2] + (m & 3))
+    loops = 0
+    seen = set()
+    for t in joined:
+        if t in seen:
+            continue
+        u = t
+        while True:
+            v = joined[u]
+            seen.update((u, v))
+            u = mate[v]
+            if u not in joined or u == t:
+                break
+        loops += u == t
+    return (tuple([d.crossings[c] for c in survivors]), tuple(new_mate),
+            d.free_loops + loops)
+
+
+def stored(d):
+    return (d.crossings, d.mate, d.free_loops)
+
+
+# The three ways to pair the four slots of a deleted crossing.
+PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def checked_removals(monkeypatch):
+    """Patch ``remove_crossings`` to compare every call with
+    ``reference_remove``; returns the list of the calls' pairings."""
+    calls = []
+    remove = FramedDiagram.remove_crossings
+
+    def compared(d, pairings):
+        out = remove(d, pairings)
+        assert stored(out) == reference_remove(d, pairings)
+        calls.append(pairings)
+        return out
+    monkeypatch.setattr(FramedDiagram, "remove_crossings", compared)
+    return calls
+
+
+class TestRemoval:
+    """``remove_crossings`` gives the stored form of the generic method."""
+
+    @pytest.mark.parametrize("family", sorted(TREE_ROOTS))
+    def test_matches_reference_on_skein_trees(self, monkeypatch, family):
+        roots = TREE_ROOTS[family]()
+        calls = checked_removals(monkeypatch)
+        tree_diagrams(roots)
+        # smoothings and kinks delete one crossing, bigons two
+        assert {len(p) for p in calls} == ({1} if family == "kinks" else {1, 2})
+
+    def test_matches_reference_on_corpus_pokes(self, monkeypatch):
+        # every poke that passes the planarity and bigon checks is
+        # removed again; unequal flips are never planar
+        calls = checked_removals(monkeypatch)
+        for e in default_corpus():
+            d = e.diagram()
+            for face in d.faces():
+                for e1 in face:
+                    for e2 in face:
+                        if e2 not in (e1, d.mate[e1]):
+                            for flip in (False, True):
+                                perturb._try_poke(d, e1, e2, flip, flip)
+        assert len(calls) > 1000
+
+    @given(st.sampled_from(WORDS + MULTI + ["s1^7", "s1 s2 s1 s2 s1 s2"]),
+           st.randoms())
+    @settings(max_examples=200)
+    def test_matches_reference_on_drawn_pairings(self, word, rng):
+        d = braid(word).add_free_loops(rng.randrange(2))
+        n = d.n_crossings
+        k = n if rng.random() < 0.3 else rng.randint(1, n)
+        pairings = {c: rng.choice(PAIRINGS) for c in rng.sample(range(n), k)}
+        assert stored(d.remove_crossings(pairings)) == \
+            reference_remove(d, pairings)
+
+    @pytest.mark.parametrize("word", WORDS + MULTI)
+    def test_closed_chains_become_free_loops(self, word):
+        # removing every crossing leaves only circles; joining opposite
+        # slots follows the strands, so each strand closes into one
+        d = braid(word).add_free_loops(1)
+        m = len(d.strand_components())
+        for pairs, loops in ((PAIRINGS[1], m), (PAIRINGS[0], None)):
+            pairings = {c: pairs for c in range(d.n_crossings)}
+            out = d.remove_crossings(pairings)
+            assert stored(out) == reference_remove(d, pairings)
+            assert out.n_crossings == 0 and out.free_loops > 1
+            if loops is not None:
+                assert out.free_loops == 1 + loops
+
+
+def fresh_caches(d):
+    e = FramedDiagram._make(d.crossings, d.mate, d.free_loops)
+    return e._crossing_components(), e.strand_components(), e.faces()
+
+
+def carried_caches(d):
+    return d._pieces, d._components, d._faces
+
+
+class TestCarriedCaches:
+    """Caches carried through a move equal the ones computed afresh."""
+
+    @staticmethod
+    def assert_carried(d):
+        for got, want in zip(carried_caches(d), fresh_caches(d)):
+            assert got is None or got == want
+
+    @pytest.mark.parametrize("family", sorted(TREE_ROOTS))
+    def test_tree_nodes_and_children(self, monkeypatch, family):
+        nodes = expanded_nodes(monkeypatch, TREE_ROOTS[family]())
+        carried = 0
+        for d in nodes:
+            carried += d._pieces is not None
+            self.assert_carried(d)
+        assert carried > 0
+        for d in nodes:
+            # fill the parent's caches so that the children carry them
+            d._crossing_components(), d.strand_components(), d.faces()
+            n = d.n_crossings
+            children = [d.add_free_loops(1),
+                        apply_reduction(d.add_free_loops(1), FreeLoop())[0]]
+            for c in sorted({0, n // 2, n - 1} & set(range(n))):
+                flat = d.make_flat(c)
+                children += [d.switch_crossing(c), flat,
+                             flat.resolve_flat(c, 1), flat.resolve_flat(c, -1)]
+            for e in children:
+                assert all(a is b for a, b in
+                           zip(carried_caches(e), carried_caches(d)))
+                self.assert_carried(e)
+            move = detect_reduction(d)
+            if isinstance(move, R1Kink):
+                e, _ = apply_reduction(d, move)
+                assert e._pieces == [0] * e.n_crossings
+                self.assert_carried(e)
+
+
+def reference_self_writhe(d, component):
+    """Self-writhe by its definition: the signs of the crossings that
+    only ``component`` passes."""
+    return sum(d.crossing_sign(c) for c in range(d.n_crossings)
+               if d.component_of_crossing(c) == [component])
+
+
+class TestLeafWrithe:
+    @pytest.mark.parametrize("family", ["c10", "corpus", "torus"])
+    def test_matches_definition_on_leaves(self, monkeypatch, family):
+        leaves = []
+        writhe = FramedDiagram.total_self_writhe
+
+        def recorded(d):
+            leaves.append(d)
+            return writhe(d)
+        monkeypatch.setattr(FramedDiagram, "total_self_writhe", recorded)
+        for d in TREE_ROOTS[family]():
+            evaluate(d, default_params("laurent"))
+        monkeypatch.undo()
+        assert len(leaves) > 10
+        calls = []
+        entries_at = FramedDiagram.entries_at
+
+        def counted(d, c):
+            calls.append(c)
+            return entries_at(d, c)
+        monkeypatch.setattr(FramedDiagram, "entries_at", counted)
+        for d in leaves:
+            w = d.total_self_writhe()
+            assert calls == []
+            m = len(d.strand_components())
+            per = [reference_self_writhe(d, i) for i in range(m)]
+            assert w == sum(per)
+            assert [d.self_writhe(i) for i in range(m)] == per
+            calls.clear()
+
+    def test_flat_self_crossing_has_no_sign(self):
+        d = braid(TREFOIL).make_flat(1).disjoint_union(braid("s1"))
+        with pytest.raises(DiagramError):
+            d.total_self_writhe()
+        with pytest.raises(DiagramError):
+            d.self_writhe(0)
+        assert d.self_writhe(1) == 1
 
 
 class TestMoves:
