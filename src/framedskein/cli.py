@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse or input error
 (including an unreadable file, a negative ``--order`` or a node budget
-below 1), 3 node budget exceeded or out of memory.  All output is
-deterministic for a fixed seed.
+below 1), 3 node budget exceeded or out of memory.  Inside ``verify`` a
+budget overrun fails its case instead.  All output is deterministic for
+a fixed seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import zlib
 
 from . import corpus as corpus_mod
 from .diagram import DiagramError, ParseError, parse_diagram
-from .oracle import bracket_statesum, laurent_to_series, specialization_check
+from .oracle import bracket_statesum, laurent_to_series, specialize_to_bracket
 from .perturb import random_perturbation
 from .ring import laurent_to_json, series_to_json
 from .singular import finite_type_vanishing
@@ -41,17 +42,17 @@ EXIT_BUDGET = 3
 SUITES = ("invariance", "oracle", "finite-type", "conventions", "cross-ring")
 
 
-def _node_budget(args) -> int:
+def _node_budget(option: int | None) -> int:
+    if option is not None:
+        return option
     env = os.environ.get("SKEIN_NODE_BUDGET")
-    if args.node_budget is not None:
-        return args.node_budget
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(
-                f"SKEIN_NODE_BUDGET is not an integer: {env!r}") from None
-    return DEFAULT_NODE_BUDGET
+    if env is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(
+            f"SKEIN_NODE_BUDGET is not an integer: {env!r}") from None
 
 
 def _read_input(args):
@@ -62,29 +63,20 @@ def _read_input(args):
 
 
 def cmd_eval(args) -> int:
+    """``eval`` in either ring, and ``series``, which is ``eval --ring
+    series`` printed one coefficient a line."""
     d = _read_input(args)
-    budget = _node_budget(args)
-    if args.ring == "series":
-        params = default_params("series", n=args.n, order=args.order,
-                                normalization=args.normalization)
-        val = evaluate(d, params, budget=budget)
-        out = series_to_json(val) if args.json else str(val)
-    else:
-        params = default_params("laurent", normalization=args.normalization)
-        val = evaluate(d, params, budget=budget)
-        out = laurent_to_json(val) if args.json else str(val)
-    print(json.dumps(out) if args.json else out)
-    return EXIT_OK
-
-
-def cmd_series(args) -> int:
-    d = _read_input(args)
-    val = evaluate_series(d, args.n, args.order, budget=_node_budget(args))
+    params = default_params(args.ring, n=args.n, order=args.order,
+                            normalization=args.normalization)
+    val = evaluate(d, params, budget=args.node_budget)
     if args.json:
-        print(json.dumps(series_to_json(val)))
-    else:
+        to_json = series_to_json if args.ring == "series" else laurent_to_json
+        print(json.dumps(to_json(val)))
+    elif args.command == "series":
         for m, c in enumerate(val.coeffs):
             print(f"v_{args.n}^{m} = {c}")
+    else:
+        print(val)
     return EXIT_OK
 
 
@@ -106,7 +98,7 @@ def _corpus_entries(args):
 
 def _suite_cases(args):
     entries = _corpus_entries(args)
-    budget = _node_budget(args)
+    budget = args.node_budget
     suite = args.suite
 
     if suite == "conventions":
@@ -143,8 +135,12 @@ def _suite_cases(args):
         for e in entries:
             if e.n_flat:
                 continue
-            yield e.id, (lambda e=e: (specialization_check(e.diagram()),
-                                      f"{e.n_crossings} crossings"))
+            def run(e=e):
+                d = e.diagram()
+                ok = (specialize_to_bracket(evaluate_laurent(d, budget))
+                      == bracket_statesum(d))
+                return ok, f"{e.n_crossings} crossings"
+            yield e.id, run
         return
 
     if suite == "finite-type":
@@ -186,6 +182,8 @@ def cmd_verify(args) -> int:
         t0 = time.monotonic()
         try:
             ok, detail = run()
+        except MemoryError:
+            raise
         except Exception as e:
             ok, detail = False, f"error: {e}"
         ms = int((time.monotonic() - t0) * 1000)
@@ -214,59 +212,60 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="framedskein")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--in", help="diagram file")
-            g.add_argument("--text", help="inline diagram text")
-            p.add_argument("--format", choices=("pd", "gauss", "braid"),
-                           default="pd")
-        p.add_argument("--n", type=int, default=0)
-        p.add_argument("--order", type=int, default=8)
-        p.add_argument("--normalization",
-                       choices=("unit", "delta", "prop42"), default="unit")
-        p.add_argument("--seed", type=int, default=corpus_mod.DEFAULT_SEED)
-        p.add_argument("--node-budget", type=int, default=None)
-        p.add_argument("--json", action="store_true")
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
 
-    p = sub.add_parser("eval", help="evaluate the invariant")
+    diagram = parent()
+    source = diagram.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", help="diagram file")
+    source.add_argument("--text", help="inline diagram text")
+    diagram.add_argument("--format", choices=("pd", "gauss", "braid"),
+                         default="pd")
+    params = parent()
+    params.add_argument("--n", type=int, default=0)
+    params.add_argument("--order", type=int, default=8)
+    params.add_argument("--normalization",
+                        choices=("unit", "delta", "prop42"), default="unit")
+    budget = parent()
+    budget.add_argument("--node-budget", type=int, default=None)
+    as_json = parent()
+    as_json.add_argument("--json", action="store_true")
+    seed = parent()
+    seed.add_argument("--seed", type=int, default=corpus_mod.DEFAULT_SEED)
+
+    def command(name, help, parents, func, **defaults):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = command("eval", "evaluate the invariant",
+                [diagram, params, budget, as_json], cmd_eval)
     p.add_argument("--ring", choices=("laurent", "series"), default="laurent")
-    common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("series", help="print the finite-type coefficients")
-    common(p)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("bracket", help="exhaustive state-sum oracle")
-    common(p)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("verify", help="run a verification suite")
+    command("series", "print the finite-type coefficients",
+            [diagram, params, budget, as_json], cmd_eval, ring="series")
+    command("bracket", "exhaustive state-sum oracle", [diagram, as_json],
+            cmd_bracket)
+    p = command("verify", "run a verification suite",
+                [params, seed, budget, as_json], cmd_verify)
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--corpus", help="corpus directory (default: generated)")
-    common(p, with_input=False)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("corpus", help="generate the diagram corpus")
+    p = command("corpus", "generate the diagram corpus", [seed], cmd_corpus)
     p.add_argument("--out", required=True)
-    common(p, with_input=False)
-    p.set_defaults(func=cmd_corpus)
-
     return top
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.order < 0:
+    if "order" in args and args.order < 0:
         print("input error: --order must be non-negative", file=sys.stderr)
         return EXIT_PARSE
     try:
-        args.node_budget = _node_budget(args)
-        if args.node_budget < 1:
-            print("input error: the node budget must be at least 1",
-                  file=sys.stderr)
-            return EXIT_PARSE
+        if "node_budget" in args:
+            args.node_budget = _node_budget(args.node_budget)
+            if args.node_budget < 1:
+                print("input error: the node budget must be at least 1",
+                      file=sys.stderr)
+                return EXIT_PARSE
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagram import FramedDiagram, parse_diagram, serialize_pd
+from .diagram import FramedDiagram, ParseError, parse_diagram, serialize_pd
 
 DEFAULT_SEED = 42
 MAX_CROSSINGS = 8
@@ -44,8 +44,7 @@ def _random_braid_word(rng: random.Random, width: int, length: int) -> str:
     return " ".join(letters)
 
 
-def generate_corpus(seed: int = DEFAULT_SEED,
-                    max_crossings: int = MAX_CROSSINGS) -> list[CorpusEntry]:
+def generate_corpus(seed: int = DEFAULT_SEED) -> list[CorpusEntry]:
     rng = random.Random(seed)
     entries: list[CorpusEntry] = []
 
@@ -63,7 +62,7 @@ def generate_corpus(seed: int = DEFAULT_SEED,
     base = parse_diagram("s1", "braid")
     for i in range(8):
         d = base
-        for _ in range(rng.randint(1, max_crossings - 1)):
+        for _ in range(rng.randint(1, MAX_CROSSINGS - 1)):
             arc = d.arcs[rng.randrange(len(d.arcs))]
             d = d.add_kink(arc, rng.choice((1, -1)))
         entries.append(_entry(f"kinks-{i}", d))
@@ -73,10 +72,10 @@ def generate_corpus(seed: int = DEFAULT_SEED,
     count = 0
     while count < 34:
         width = rng.randint(2, 4)
-        length = rng.randint(3, max_crossings)
+        length = rng.randint(3, MAX_CROSSINGS)
         word = _random_braid_word(rng, width, length)
         d = parse_diagram(word, "braid")
-        if d.n_crossings > max_crossings:
+        if d.n_crossings > MAX_CROSSINGS:
             continue
         code = d.canonical_code()
         if code in seen:
@@ -113,11 +112,30 @@ def write_corpus(entries: list[CorpusEntry], out_dir: str | Path) -> Path:
     return path
 
 
+_MANIFEST_FIELDS = {"id": str, "file": str, "n_crossings": int,
+                    "n_components": int, "n_flat": int}
+
+
 def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
+    """Entries listed in ``manifest.json`` under ``dir_path``; a manifest
+    that is not a JSON list of entries as ``write_corpus`` writes them
+    raises ``ParseError``."""
     out = Path(dir_path)
-    manifest = json.loads((out / "manifest.json").read_text())
+    path = out / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:
+        raise ParseError(f"{path} is not JSON: {e}") from None
+    if not isinstance(manifest, list):
+        raise ParseError(f"{path} is not a list of entries")
     entries = []
-    for m in manifest:
+    for i, m in enumerate(manifest):
+        if not isinstance(m, dict):
+            raise ParseError(f"{path}: entry {i} is not an object")
+        for key, kind in _MANIFEST_FIELDS.items():
+            if not isinstance(m.get(key), kind):
+                raise ParseError(
+                    f"{path}: entry {i} has no {kind.__name__} {key!r}")
         pd = (out / m["file"]).read_text()
         entries.append(CorpusEntry(m["id"], pd, m["n_crossings"],
                                    m["n_components"], m["n_flat"]))

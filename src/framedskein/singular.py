@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .diagram import DiagramError, FramedDiagram, HalfEdge, SingularDiagram
 from .ring import ZERO
-from .skein import evaluate_series
+from .skein import DEFAULT_NODE_BUDGET, evaluate_series
 
 Evaluator = Callable[[FramedDiagram], object]
 SignPattern = tuple[int, ...]
@@ -235,7 +235,7 @@ def total_framing(events: Sequence[FramingEvent], m: int) -> tuple[int, ...]:
 
 
 def finite_type_vanishing(n: int, m: int, sd: SingularDiagram,
-                          budget: int | None = None) -> bool:
+                          budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """A k-fold derived series invariant has vanishing coefficients
     through x^m whenever m < k."""
     k = len(sd.flat_crossings())
@@ -243,7 +243,6 @@ def finite_type_vanishing(n: int, m: int, sd: SingularDiagram,
         raise DiagramError("diagram has no flat crossings")
     if not 0 <= m < k:
         raise ValueError("order m must satisfy 0 <= m < k")
-    kwargs = {} if budget is None else {"budget": budget}
-    F = lambda d: evaluate_series(d, n, m, **kwargs)
+    F = lambda d: evaluate_series(d, n, m, budget=budget)
     total = derived_invariant(F, sd).value
     return all(c == ZERO for c in total.coeffs)

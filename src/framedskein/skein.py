@@ -305,8 +305,8 @@ class MemoTable(dict):
     table lives and dies with the memo.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self):
+        super().__init__()
         self.params: Optional[SkeinParams] = None
         self.codes: dict[tuple, str] = {}
 

@@ -6,6 +6,7 @@ from framedskein.corpus import (
     load_corpus,
     write_corpus,
 )
+from framedskein.diagram import ParseError
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +63,18 @@ class TestRoundTrip:
             d = e.diagram()
             again = parse_diagram(serialize_pd(d), "pd")
             assert again.canonical_code() == d.canonical_code()
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("text, complaint", [
+        ("{not json", "is not JSON"),
+        ('{"id": "unknot"}', "is not a list"),
+        ('[{"id": "unknot", "n_crossings": 0, "n_components": 1,'
+         ' "n_flat": 0}]', "entry 0 has no str 'file'"),
+        ("[3]", "entry 0 is not an object")])
+    def test_parse_error_names_the_manifest(self, tmp_path, text, complaint):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert "manifest.json" in str(info.value)
+        assert complaint in str(info.value)
