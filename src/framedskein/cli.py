@@ -148,12 +148,14 @@ def _suite_cases(args):
             k = e.n_flat
             if not 1 <= k <= 4:
                 continue
+            # One diagram for all of the entry's cases, so that each case
+            # replays the skein trees of its resolutions (see ``skein``).
+            sd = e.diagram()
             for n in (0, 1):
                 for m in range(min(k, args.order + 1)):
-                    def run(e=e, n=n, m=m):
-                        ok = finite_type_vanishing(n, m, e.diagram(),
-                                                   budget=budget)
-                        return ok, f"k={e.n_flat} n={n} m={m}"
+                    def run(sd=sd, k=k, n=n, m=m):
+                        ok = finite_type_vanishing(n, m, sd, budget=budget)
+                        return ok, f"k={k} n={n} m={m}"
                     yield f"{e.id}-n{n}-m{m}", run
         return
 
@@ -208,8 +210,17 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as ``main`` reports the other
+    input errors; subcommand parsers take the class of their parent."""
+
+    def error(self, message):
+        print(f"input error: {self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="framedskein")
+    top = _Parser(prog="framedskein")
     sub = top.add_subparsers(dest="command", required=True)
 
     def parent():

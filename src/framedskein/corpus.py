@@ -12,7 +12,13 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagram import FramedDiagram, ParseError, parse_diagram, serialize_pd
+from .diagram import (
+    DiagramError,
+    FramedDiagram,
+    ParseError,
+    parse_diagram,
+    serialize_pd,
+)
 
 DEFAULT_SEED = 42
 MAX_CROSSINGS = 8
@@ -118,8 +124,8 @@ _MANIFEST_FIELDS = {"id": str, "file": str, "n_crossings": int,
 
 def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
     """Entries listed in ``manifest.json`` under ``dir_path``; a manifest
-    that is not a JSON list of entries as ``write_corpus`` writes them
-    raises ``ParseError``."""
+    that is not a JSON list of entries as ``write_corpus`` writes them,
+    or whose counts differ from its ``.pd`` files, raises ``ParseError``."""
     out = Path(dir_path)
     path = out / "manifest.json"
     try:
@@ -136,9 +142,19 @@ def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
             if not isinstance(m.get(key), kind):
                 raise ParseError(
                     f"{path}: entry {i} has no {kind.__name__} {key!r}")
-        pd = (out / m["file"]).read_text()
-        entries.append(CorpusEntry(m["id"], pd, m["n_crossings"],
-                                   m["n_components"], m["n_flat"]))
+        e = CorpusEntry(m["id"], (out / m["file"]).read_text(),
+                        m["n_crossings"], m["n_components"], m["n_flat"])
+        try:
+            d = e.diagram()
+        except (ParseError, DiagramError) as err:
+            raise ParseError(f"{out / m['file']}: {err}") from None
+        for key, got in (("n_crossings", d.n_crossings),
+                         ("n_components", d.n_components()),
+                         ("n_flat", len(d.flat_crossings()))):
+            if m[key] != got:
+                raise ParseError(f"{path}: entry {i} has {key} {m[key]}, "
+                                 f"but {m['file']} has {got}")
+        entries.append(e)
     return entries
 
 

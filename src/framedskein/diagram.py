@@ -91,7 +91,7 @@ class FramedDiagram:
     """Immutable planar link diagram; all move operations return copies."""
 
     __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_code",
-                 "_components", "_pieces", "_faces")
+                 "_components", "_pieces", "_faces", "_plans")
 
     def __init__(self, crossings: Iterable[Optional[int]],
                  arcs: Iterable[tuple[HalfEdge, HalfEdge]],
@@ -112,6 +112,7 @@ class FramedDiagram:
             if over not in (0, 1, None):
                 raise DiagramError(f"bad over flag {over!r}")
         self._store(crossings, tuple(mate), free_loops)
+        self._plans = {}
         if not self._is_planar():
             raise DiagramError("diagram is not planar (Euler count failed)")
 
@@ -136,7 +137,7 @@ class FramedDiagram:
         self.mate: tuple[int, ...] = mate
         self.free_loops = free_loops
         self._arcs = self._code = self._components = None
-        self._pieces = self._faces = None
+        self._pieces = self._faces = self._plans = None
 
     # -- structure ---------------------------------------------------------
 
@@ -298,10 +299,11 @@ class FramedDiagram:
 
     def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
         """A diagram on this one's ``mate``, which also shares the caches
-        that depend on ``mate`` alone: pieces, strands and faces."""
+        that depend on ``mate`` alone: pieces, strands and faces, and the
+        skein plans of the family (see ``skein``)."""
         d = FramedDiagram._make(crossings, self.mate, free_loops)
-        d._pieces, d._components, d._faces = \
-            self._pieces, self._components, self._faces
+        d._pieces, d._components, d._faces, d._plans = \
+            self._pieces, self._components, self._faces, self._plans
         return d
 
     def _with_over(self, c: int, over: Optional[int]) -> "FramedDiagram":

@@ -20,6 +20,23 @@ it has coded to its code, so a diagram rebuilt with the same labels
 costs one tuple hash, not a code.  The table lives and dies with its
 memo: evaluations share codes only when they share the memo.
 
+The skein tree depends on the diagram and on the keys already in the
+memo, never on the ring.  Each evaluation without ``select`` therefore
+records a plan: the code and kind of every visit, in the order the walk
+made them (memo hit, leaf with its writhe and component count, branch
+point, or reduction step).  Plans live in a dict that a diagram shares
+with every diagram on the same ``mate`` (its switches, resolutions and
+flattenings), so they live as long as one of those does.  A plan's key
+is the root's crossings and free loops and the memo's lineage: ``None``
+for an empty memo, else the plan of the memo's last evaluation, valid
+only while the memo holds just what that evaluation left.  When the key
+has a plan and there is no ``on_expand``, the evaluation replays it: the
+same memo reads, node count, budget error and inserts, and only the
+ring arithmetic, with no code, reduction or smoothing.  So the second
+ring, or the second ``n`` over a table of resolutions, costs a fraction
+of the first, and a replay leaves ``MemoTable.codes`` empty.  A plan
+keeps its codes compressed, about a quarter of the memo's key text.
+
 The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
 ``a = t^(n+1)``, ``z = t - t^-1`` for the series ring, with no
@@ -30,12 +47,13 @@ at ``t = e^x`` into a ``PowerSeries`` of the requested order.
 
 from __future__ import annotations
 
+import zlib
+from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .diagram import (
-    Bookkeeping,
     DiagramError,
     FramedDiagram,
     apply_reduction,
@@ -291,6 +309,40 @@ def complexity_bound(d: FramedDiagram) -> Complexity:
 # The evaluator
 
 
+# The kind of a plan visit: a memo hit, a descending leaf (its writhe
+# and component count follow as two more ops), a branch point (the visits
+# of the switched, A and B children follow), or a reduction step: a kink
+# of either sign, a free loop, an R2 move or a split (the first piece's
+# visits follow, then the remainder's).
+_HIT, _LEAF, _BRANCH, _KINK_POS, _KINK_NEG, _DELTA, _R2, _SPLIT = range(8)
+_TAGS = {("kink", 1): _KINK_POS, ("kink", -1): _KINK_NEG,
+         ("delta", 0): _DELTA, ("none", 0): _R2, ("split", 0): _SPLIT}
+
+
+class _Plan:
+    """The skein tree of one evaluation, as the visits the walker made.
+
+    ``ops`` holds the kind of each visit, in visit order; a leaf's kind
+    is followed by its writhe and component count.  ``codes`` holds the
+    code of each visit, each ended by a newline and compressed: the
+    codes of nearby visits share long runs, and the text shrinks about
+    fourfold.  ``size`` is the memo's length after the evaluation.
+    """
+
+    __slots__ = ("codes", "ops", "size")
+
+    def __init__(self, codes: list[str], ops: array, size: int):
+        # A chunk at a time, so the whole text never exists at once.
+        z = zlib.compressobj(1)
+        packed = [z.compress(("\n".join(codes[i:i + 256]) + "\n").encode())
+                  for i in range(0, len(codes), 256)]
+        packed.append(z.flush())
+        self.codes, self.ops, self.size = tuple(packed), ops, size
+
+    def visits(self) -> list[str]:
+        return zlib.decompress(b"".join(self.codes)).decode().split("\n")[:-1]
+
+
 class MemoTable(dict):
     """Memo map with the single-valuedness invariant.
 
@@ -303,12 +355,20 @@ class MemoTable(dict):
     a diagram rebuilt with the same labels is looked up by one tuple hash
     instead of being coded again.  The key is the whole form, and the
     table lives and dies with the memo.
+
+    ``lineage`` is ``None`` in a new memo, and then the plan of the
+    last evaluation that followed or left one.  The memo holds just what
+    that evaluation left while its length is the plan's ``size``; that
+    test needs keys to be only added, never removed.  A replay checks
+    each visit's hit or miss against the memo in any case, and raises
+    ``AssertionError`` where they differ.
     """
 
     def __init__(self):
         super().__init__()
         self.params: Optional[SkeinParams] = None
         self.codes: dict[tuple, str] = {}
+        self.lineage: object = None
 
     def bind(self, params: SkeinParams) -> None:
         if self.params is None:
@@ -356,43 +416,90 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         raise DiagramError("diagram too large for the packed exponents")
     memo = MemoTable() if memo is None else memo
     memo.bind(params)
+    lineage, start = memo.lineage, len(memo)
+    # The tree depends on the root form and the memo's keys alone.  The
+    # keys are known in an empty memo, and in one that holds just what
+    # the plan in its lineage left: inserts only add keys, so that is
+    # when its length is still the plan's size.
+    key = plan = None
+    if select is None and (start == 0 or type(lineage) is _Plan
+                           and lineage.size == start):
+        key = (d.crossings, d.free_loops, lineage if start else None)
+        if d._plans is not None:
+            plan = d._plans.get(key)
     codes = memo.codes
-    nodes = 0
+    nodes = own = 0
     alpha, alpha_inv, delta = eng.alpha, eng.alpha_inv, eng.delta
+    visits: list[str] = []  # the recorded visits, see ``_Plan``
+    ops = array("i")
+
+    def count():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"skein tree exceeded the node budget of {budget}")
+
+    def leaf(w: int, m: int):
+        # A globally descending diagram is a stacked framed unlink; the
+        # kink and loop laws force its value.  A crossingless irreducible
+        # diagram is a single circle (m = 1, w = 0).
+        return alpha ** w * delta ** (m - 1) * eng.unknot
+
+    def put(code: str, val) -> None:
+        # ``own`` counts the keys this walk adds to the memo.
+        nonlocal own
+        if code not in memo:
+            own += 1
+        memo[code] = val
+
+    def unwind(chain, val):
+        # Multiply the chain's factors back up it; the value of a split
+        # remainder comes back from the driver loop through ``yield``.
+        for code, tag, rest in reversed(chain):
+            if tag == _DELTA:
+                val = delta * val
+            elif tag == _KINK_POS:
+                val = alpha * val
+            elif tag == _KINK_NEG:
+                val = alpha_inv * val
+            elif tag == _SPLIT:
+                val = delta * val * (yield rest)
+            put(code, val)
+        return val
 
     def go(cur: FramedDiagram):
         # Follow the reduction chain down to a memo hit, a descending leaf
         # or a branch point, then multiply the factors back up it.  The
         # value of each child diagram (switched, A, B, split remainder)
-        # comes back from the driver loop below through ``yield``.
-        nonlocal nodes
-        chain: list[tuple[str, Bookkeeping]] = []
+        # comes back from the driver loop below through ``yield``.  Each
+        # visit is recorded in ``visits`` and ``ops``.
+        chain: list[tuple[str, int, Optional[FramedDiagram]]] = []
         while True:
             form = (cur.crossings, cur.mate, cur.free_loops)
             code = codes.get(form)
             if code is None:
                 code = codes[form] = cur.canonical_code()
+            visits.append(code)
             if code in memo:
+                ops.append(_HIT)
                 val = memo[code]
                 break
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"skein tree exceeded the node budget of {budget}")
+            count()
             red = detect_reduction(cur)
             if red is not None:
                 cur, bk = apply_reduction(cur, red)
-                chain.append((code, bk))
+                tag = _TAGS[bk.kind, bk.kink_sign]
+                ops.append(tag)
+                chain.append((code, tag, bk.remainder))
                 continue
             bad = cur.bad_crossings()
             if not bad:
-                # A globally descending diagram is a stacked framed unlink;
-                # the kink and loop laws force its value.  A crossingless
-                # irreducible diagram is a single circle (m = 1, w = 0).
-                w = cur.total_self_writhe()
-                m = cur.n_components()
-                val = alpha ** w * delta ** (m - 1) * eng.unknot
+                w, m = cur.total_self_writhe(), cur.n_components()
+                ops.extend((_LEAF, w, m))
+                val = leaf(w, m)
             else:
+                ops.append(_BRANCH)
                 c = bad[0] if select is None else select(cur)
                 switched = cur.switch_crossing(c)
                 a_sm = cur.smooth(c, "A")
@@ -401,33 +508,73 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
                     for child in (switched, a_sm, b_sm):
                         on_expand(cur, child)
                 val = (yield switched) + eng.z * ((yield a_sm) - (yield b_sm))
-            memo[code] = val
+            put(code, val)
             break
-        for code, bk in reversed(chain):
-            if bk.kind == "delta":
-                val = delta * val
-            elif bk.kind == "kink":
-                val = (alpha if bk.kink_sign > 0 else alpha_inv) * val
-            elif bk.kind == "split":
-                val = delta * val * (yield bk.remainder)
-            memo[code] = val
+        if chain:
+            val = yield from unwind(chain, val)
         return val
 
-    # The suspended calls of ``go`` form an explicit stack, so the Python
-    # stack stays flat however deep the skein tree is.
-    stack = [go(d)]
+    k = pos = 0
+
+    def replay(_):
+        # ``go`` without the diagrams: the same memo reads, node count and
+        # inserts, read off the plan from visit ``k`` and op ``pos`` on.
+        # The driver sends each child's value as it does to ``go``.
+        nonlocal k, pos
+        chain: list[tuple[str, int, None]] = []
+        while True:
+            code, tag = plan_codes[k], plan_ops[pos]
+            k += 1
+            pos += 1
+            if (code in memo) != (tag == _HIT):
+                raise AssertionError("skein plan does not match the memo")
+            if tag == _HIT:
+                val = memo[code]
+                break
+            count()
+            if tag >= _KINK_POS:
+                chain.append((code, tag, None))
+                continue
+            if tag == _LEAF:
+                val = leaf(plan_ops[pos], plan_ops[pos + 1])
+                pos += 2
+            else:
+                val = (yield None) + eng.z * ((yield None) - (yield None))
+            put(code, val)
+            break
+        if chain:
+            val = yield from unwind(chain, val)
+        return val
+
+    if plan is not None and on_expand is None:
+        walk, plan_codes, plan_ops = replay, plan.visits(), plan.ops
+    else:
+        walk = go
+    # The suspended walks form an explicit stack, so the Python stack
+    # stays flat however deep the skein tree is.
+    stack = [walk(d)]
     val = None
     while True:
         try:
             child = stack[-1].send(val)
         except StopIteration as done:
             stack.pop()
-            if not stack:
-                return eng.value(done.value)
             val = done.value
+            if not stack:
+                break
         else:
-            stack.append(go(child))
+            stack.append(walk(child))
             val = None
+    if key is not None:
+        # Keep the plan only when nothing but this walk added keys.
+        if plan is None and len(memo) == start + own:
+            plan = _Plan(visits, ops, len(memo))
+            if d._plans is None:
+                d._plans = {}
+            d._plans[key] = plan
+        if plan is not None:
+            memo.lineage = plan
+    return eng.value(val)
 
 
 def evaluate_series(d: FramedDiagram, n: int, order: int,

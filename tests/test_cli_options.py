@@ -51,6 +51,35 @@ def test_removed_option_is_a_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--text", "O", "--seed", "1"),
+    ("eval", "--text", "-x"),
+    ("eval", "--txt", "O"),
+    ("eval", "--text", "O", "--ring", "other"),
+    ("verify",),
+    ()])
+def test_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: framedskein")
+    assert captured.err.count("\n") == 1
+
+
+def test_manifest_counts_are_checked(capsys, tmp_path):
+    # a flat diagram listed as resolved would fail its oracle case
+    write_corpus([e for e in generate_corpus() if e.n_flat][:1], tmp_path)
+    path = tmp_path / "manifest.json"
+    path.write_text(path.read_text().replace('"n_flat": 1', '"n_flat": 0'))
+    code, out, err = run(capsys, "verify", "--suite", "oracle",
+                         "--corpus", str(tmp_path))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error") and err.count("\n") == 1
+    assert "n_flat 0" in err
+
+
 def test_bracket_ignores_the_budget_variable(capsys, monkeypatch):
     monkeypatch.setenv("SKEIN_NODE_BUDGET", "lots")
     code, out, _ = run(capsys, "bracket", "--text", "O")

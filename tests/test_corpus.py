@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from framedskein.corpus import (
@@ -78,3 +80,17 @@ class TestMalformedManifest:
             load_corpus(tmp_path)
         assert "manifest.json" in str(info.value)
         assert complaint in str(info.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_crossings", 9), ("n_components", 3), ("n_flat", 0)])
+    def test_counts_must_match_the_diagram(self, tmp_path, key, value):
+        entries = [e for e in generate_corpus() if e.n_flat == 1][:1]
+        manifest = write_corpus(entries, tmp_path)
+        rows = json.loads(manifest.read_text())
+        assert rows[0][key] != value
+        rows[0][key] = value
+        manifest.write_text(json.dumps(rows))
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert f"entry 0 has {key} {value}" in str(info.value)
+        assert "manifest.json" in str(info.value)

@@ -518,3 +518,193 @@ class TestCodeTable:
         for (crossings, mate, loops), code in memo.codes.items():
             assert code == diagram.FramedDiagram._make(
                 crossings, mate, loops).canonical_code()
+
+
+RINGS = (default_params("laurent"), default_params("series", n=0, order=8),
+         default_params("series", n=1, order=8))
+
+
+def outcome(d, params, memo=None, budget=10**7):
+    """The value (or budget error) and the memo items of one evaluation."""
+    memo = MemoTable() if memo is None else memo
+    try:
+        value = evaluate(d, params, memo=memo, budget=budget)
+    except BudgetExceededError as e:
+        value = str(e)
+    return value, list(memo.items())
+
+
+class TestReplay:
+    """A diagram keeps the plan of each evaluation, and a later one whose
+    root form and memo lineage match replays it.  A replay must give
+    what a fresh diagram gives: the value, the memo items in key order
+    and the budget error."""
+
+    @staticmethod
+    def counted_codes(monkeypatch):
+        for params in RINGS:
+            evaluate(braid("s1"), params)  # the audit codes diagrams too
+        return TestCodeTable.counted_codes(monkeypatch, RINGS[0])
+
+    def test_exact_on_the_corpus(self):
+        for e in default_corpus():
+            if e.n_flat:
+                continue
+            d = e.diagram()
+            for params in RINGS:
+                assert outcome(d, params) == outcome(e.diagram(), params)
+            assert len(d._plans) == 1
+
+    @pytest.mark.parametrize("word", C10_WORDS)
+    def test_exact_on_criterion10_words(self, word):
+        d = braid(word)
+        for params in RINGS:
+            assert outcome(d, params) == outcome(braid(word), params)
+        for budget in (1, 50, 300, 550, 551, 682, 683):
+            for params in RINGS:
+                assert outcome(d, params, budget=budget) == \
+                    outcome(braid(word), params, budget=budget)
+
+    def test_exact_on_resolution_sequences(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        for e in default_corpus():
+            if not e.n_flat:
+                continue
+            sd = e.diagram()
+            for params in RINGS[1:]:
+                got, want = MemoTable(), MemoTable()
+                counts[0] = 0
+                a = derived_invariant(
+                    lambda d: evaluate(d, params, memo=got), sd).value
+                replayed = counts[0] == 0
+                b = derived_invariant(
+                    lambda d: evaluate(d, params, memo=want),
+                    e.diagram()).value
+                assert a == b and list(got.items()) == list(want.items())
+                # n = 0 records the table's plans, n = 1 replays them
+                assert replayed == (params.n == 1)
+                assert not got.codes if replayed else got.codes
+
+    def test_replay_codes_nothing(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        d = braid(C10_WORDS[0])
+        evaluate(d, RINGS[0])
+        assert counts[0] == 859
+        for params in RINGS[1:]:
+            counts[0] = 0
+            memo = MemoTable()
+            evaluate(d, params, memo=memo)
+            assert (counts[0], len(memo), memo.codes) == (0, 683, {})
+
+    def test_on_expand_and_select_walk_the_diagrams(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        word = C10_WORDS[1]
+        d = braid(word)
+        evaluate(d, RINGS[0])
+        edges, fresh = [], []
+        counts[0] = 0
+        evaluate(d, RINGS[1], on_expand=lambda p, c: edges.append(c))
+        assert counts[0] > 0
+        evaluate(braid(word), RINGS[1], on_expand=lambda p, c: fresh.append(c))
+        assert len(edges) == len(fresh) == 3 * 145
+
+        def pick(cur):
+            return cur.bad_crossings()[-1]
+        sequence = MemoTable()  # a plan for the switch after d's plan
+        for x in (d, d.switch_crossing(0)):
+            evaluate(x, RINGS[0], memo=sequence)
+        memo, want = MemoTable(), MemoTable()
+        counts[0] = 0
+        evaluate(d, RINGS[2], memo=memo, select=pick)
+        assert counts[0] > 0
+        # the memo now holds another tree's keys, so nothing replays on it
+        counts[0] = 0
+        got = outcome(d.switch_crossing(0), RINGS[2], memo)
+        assert counts[0] > 0
+        evaluate(braid(word), RINGS[2], memo=want, select=pick)
+        assert got == outcome(braid(word).switch_crossing(0), RINGS[2], want)
+
+    def test_budget_error_and_foreign_keys_fall_back(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        word = C10_WORDS[0]
+        d = braid(word)
+        switched = d.switch_crossing(3)
+        for x in (d, switched):  # one family, one memo
+            evaluate(x, RINGS[0], memo=MemoTable())
+        sequence = MemoTable()
+        for x in (d, switched):
+            evaluate(x, RINGS[0], memo=sequence)
+        # after a budget error the memo holds part of a tree
+        memo = MemoTable()
+        outcome(d, RINGS[1], memo, budget=100)
+        counts[0] = 0
+        want = MemoTable()
+        outcome(braid(word), RINGS[1], want, budget=100)
+        assert outcome(d, RINGS[1], memo) == \
+            outcome(braid(word), RINGS[1], want)
+        assert counts[0] > 0
+        # a key of the tree put in by hand, into a new memo or after a
+        # replay
+        for before, x in (((), d), ((d,), switched)):
+            memo, want = MemoTable(), MemoTable()
+            for y in before:
+                evaluate(y, RINGS[1], memo=memo)
+                evaluate(braid(word), RINGS[1], memo=want)
+            tree = outcome(x, RINGS[1])[1]
+            k, v = next(kv for kv in tree[len(tree) // 2:] if kv[0] not in memo)
+            memo[k] = want[k] = v
+            counts[0] = 0
+            got = outcome(x, RINGS[1], memo)
+            assert counts[0] > 0
+            fresh = braid(word)
+            assert got == outcome(fresh if x is d else fresh.switch_crossing(3),
+                                  RINGS[1], want)
+
+    def test_keys_put_in_during_a_walk_keep_its_plan_out(self):
+        word = C10_WORDS[0]
+        tree = outcome(braid(word), RINGS[0])[1]
+        k, v = tree[len(tree) // 2]
+        d, memo = braid(word), MemoTable()
+
+        def put(parent, child):
+            memo[k] = v
+        evaluate(d, RINGS[0], memo=memo, on_expand=put)
+        assert d._plans == {}
+        assert outcome(d, RINGS[1]) == outcome(braid(word), RINGS[1])
+
+    def test_memo_shared_by_two_families(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        d, e = braid(C10_WORDS[0]), braid("s1 s2^-1 s1 s2^-1 s1 s2")
+        memo = MemoTable()
+        for x in (d, e):
+            evaluate(x, RINGS[0], memo=memo)
+        for order, codes in (((d, e), False), ((e, d), True)):
+            memo, want = MemoTable(), MemoTable()
+            counts[0] = 0
+            got = [outcome(x, RINGS[1], memo)[0] for x in order]
+            assert (counts[0] > 0) == codes
+            fresh = [outcome(braid(C10_WORDS[0]) if x is d else
+                             braid("s1 s2^-1 s1 s2^-1 s1 s2"), RINGS[1],
+                             want)[0] for x in order]
+            assert got == fresh
+            assert list(memo.items()) == list(want.items())
+
+    def test_plan_leaves_no_reference_cycle(self):
+        d = braid(C10_WORDS[0])
+        gc.collect()
+        gc.disable()
+        try:
+            memo = MemoTable()
+            evaluate(d, RINGS[0], memo=memo)
+            del memo
+            assert gc.collect() == 0
+            memo = MemoTable()
+            evaluate(d, RINGS[2], memo=memo)
+            assert memo.lineage in d._plans.values()
+            del memo
+            assert gc.collect() == 0
+            with pytest.raises(BudgetExceededError):
+                evaluate(d, RINGS[1], budget=50)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
