@@ -125,7 +125,9 @@ _MANIFEST_FIELDS = {"id": str, "file": str, "n_crossings": int,
 def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
     """Entries listed in ``manifest.json`` under ``dir_path``; a manifest
     that is not a JSON list of entries as ``write_corpus`` writes them,
-    or whose counts differ from its ``.pd`` files, raises ``ParseError``."""
+    or whose counts differ from its ``.pd`` files, raises ``ParseError``.
+    An entry's ``file`` must be a bare file name, so that only files in
+    ``dir_path`` are read."""
     out = Path(dir_path)
     path = out / "manifest.json"
     try:
@@ -139,9 +141,14 @@ def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
         if not isinstance(m, dict):
             raise ParseError(f"{path}: entry {i} is not an object")
         for key, kind in _MANIFEST_FIELDS.items():
-            if not isinstance(m.get(key), kind):
+            # ``type`` and not ``isinstance``: JSON's true is no count
+            if type(m.get(key)) is not kind:
                 raise ParseError(
                     f"{path}: entry {i} has no {kind.__name__} {key!r}")
+        if m["file"] in ("", ".", "..") or Path(m["file"]).name != m["file"]:
+            raise ParseError(f"{path}: entry {i} has file {m['file']!r}, "
+                             "which is not a file name in the corpus "
+                             "directory")
         e = CorpusEntry(m["id"], (out / m["file"]).read_text(),
                         m["n_crossings"], m["n_components"], m["n_flat"])
         try:

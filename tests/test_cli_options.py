@@ -164,3 +164,20 @@ def test_malformed_manifest_is_one_line(capsys, tmp_path, manifest):
     assert code == EXIT_PARSE and out == ""
     assert err.startswith("parse error") and err.count("\n") == 1
     assert "manifest.json" in err
+
+
+@pytest.mark.parametrize("name", ["outside.txt", "abs", "../corp2/unknot.pd"])
+def test_manifest_reads_no_file_outside_the_corpus(capsys, tmp_path, name):
+    (tmp_path / "outside.txt").write_text("secret line\n")
+    write_corpus(generate_corpus()[:1], tmp_path / "corp2")
+    corp = tmp_path / "corp"
+    manifest = write_corpus(generate_corpus()[:1], corp)
+    rows = json.loads(manifest.read_text())
+    rows[0]["file"] = {"outside.txt": "../outside.txt",
+                       "abs": str(tmp_path / "outside.txt")}.get(name, name)
+    manifest.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "verify", "--suite", "oracle",
+                         "--corpus", str(corp))
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("parse error") and err.count("\n") == 1
+    assert "secret" not in err

@@ -94,3 +94,27 @@ class TestMalformedManifest:
             load_corpus(tmp_path)
         assert f"entry 0 has {key} {value}" in str(info.value)
         assert "manifest.json" in str(info.value)
+
+    @pytest.mark.parametrize("name", [
+        "/etc/hostname", "../corpus.pd", "sub/unknot.pd", ".", "..", ""])
+    def test_file_must_be_a_name_in_the_directory(self, tmp_path, name):
+        # no file outside the corpus directory is read, and so none is
+        # quoted in the error
+        manifest = write_corpus(generate_corpus()[:1], tmp_path)
+        rows = json.loads(manifest.read_text())
+        rows[0]["file"] = name
+        manifest.write_text(json.dumps(rows))
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert f"entry 0 has file {name!r}" in str(info.value)
+
+    @pytest.mark.parametrize("key", ["n_crossings", "n_components", "n_flat"])
+    def test_counts_are_not_bools(self, tmp_path, key):
+        entries = [e for e in generate_corpus() if e.n_flat == 0][:1]
+        manifest = write_corpus(entries, tmp_path)
+        rows = json.loads(manifest.read_text())
+        rows[0][key] = bool(rows[0][key])
+        manifest.write_text(json.dumps(rows))
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert f"entry 0 has no int {key!r}" in str(info.value)

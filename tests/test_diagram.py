@@ -281,14 +281,18 @@ class TestPrunedCode:
 
     @staticmethod
     def count_walks(monkeypatch, roots):
+        # positions: the tokens of a complete walk, the crossings met by
+        # one that stopped
         params = default_params("laurent")
         evaluate(braid("s1"), params)  # the audit codes diagrams too
-        counts = {"walks": 0, "codes": 0}
+        counts = {"walks": 0, "codes": 0, "positions": 0}
         walk, code = diagram._walk_tokens, diagram._canonical_code
 
         def counted_walk(*args):
             counts["walks"] += 1
-            return walk(*args)
+            toks = walk(*args)
+            counts["positions"] += len(args[-1]) if toks is None else len(toks)
+            return toks
 
         def counted_code(d):
             counts["codes"] += 1
@@ -305,6 +309,8 @@ class TestPrunedCode:
         counts = self.count_walks(
             monkeypatch, [braid(f"s1^{k}") for k in range(1, 61)])
         assert counts["walks"] <= 3 * counts["codes"]
+        # 689,384 when every code walked its starts afresh
+        assert counts["positions"] <= 689384
 
     def test_kink_chain_walks(self, monkeypatch):
         # walking every least-role start took 14,520 walks for these 121
@@ -312,6 +318,99 @@ class TestPrunedCode:
         counts = self.count_walks(monkeypatch, [kink_chain(120, seed=3)[0]])
         assert counts["codes"] == 121
         assert counts["walks"] <= 14520 // 4
+        # 50,506 positions when each code walked afresh; the walk carried
+        # from the parent leaves the other starts to stop early (9,035)
+        assert counts["positions"] <= 12000
+
+
+class TestCarriedWalks:
+    """A move hands its result the parent's least walk, edited to the
+    result's walk from the same start, or only that start."""
+
+    @staticmethod
+    def assert_is_walk(d):
+        start, toks, order, first = d._walk
+        n = d.n_crossings
+        got_order, got_first = [], [0] * n
+        got = diagram._walk_tokens(d.crossings, d.mate, start, None, [-1] * n,
+                                   got_first, [False] * n, got_order)
+        assert toks == got
+        assert order == got_order
+        assert first == [got_first[c] for c in got_order]
+
+    @pytest.mark.parametrize("family", sorted(TREE_ROOTS))
+    def test_carried_walks_on_skein_trees(self, monkeypatch, family):
+        carried = {"walk": 0, "start": 0}
+
+        def check(parent, child, removed):
+            if child._walk is None:
+                return
+            if child._walk[1] is not None:
+                self.assert_is_walk(child)
+                carried["walk"] += 1
+            else:
+                # the parent's start, renumbered past the deleted crossings
+                start = parent._walk[0]
+                assert child._walk[0] == \
+                    start - 4 * sum(r < start >> 2 for r in removed)
+                carried["start"] += 1
+
+        reduce, code = skein.apply_reduction, diagram._canonical_code
+
+        def reduced(d, move):
+            out = reduce(d, move)
+            removed = [move.crossing] if isinstance(move, R1Kink) else \
+                [move.c1, move.c2] if isinstance(move, R2Pair) else []
+            check(d, out[0], removed)
+            return out
+
+        def expanded(parent, child):
+            # the switched child keeps every crossing; A and B lose the
+            # selected one
+            c = parent.bad_crossings()[0]
+            check(parent, child,
+                  [] if child.n_crossings == parent.n_crossings else [c])
+
+        def checked_code(d):
+            out = code(d)
+            assert out == reference_code(d)
+            return out
+        monkeypatch.setattr(skein, "apply_reduction", reduced)
+        monkeypatch.setattr(diagram, "_canonical_code", checked_code)
+        for d in TREE_ROOTS[family]():
+            evaluate(d, default_params("laurent"), on_expand=expanded)
+        assert carried["walk"] > 0
+        if family != "kinks":  # kink chains have no branch points
+            assert carried["start"] > 0
+
+    @pytest.mark.parametrize("words", [
+        ("s1 s1 s1", "s1^-1 s2 s1^-1 s2"), ("s1 s2^-1 s1 s2^-1", "s1 s1"),
+        ("s1 s2 s1 s3",)])
+    def test_any_carried_walk_gives_the_code(self, words):
+        # a smoothing can split its result, so a carried start may lie in
+        # another piece, and a start need not be a candidate of its own
+        d = braid(words[0])
+        for word in words[1:]:
+            d = d.disjoint_union(braid(word))
+        n = d.n_crossings
+        want = reference_code(d)
+        for h in range(4 * n):
+            order, first = [], [0] * n
+            toks = diagram._walk_tokens(d.crossings, d.mate, h, None,
+                                        [-1] * n, first, [False] * n, order)
+            for walk in ((h, None, None, None),
+                         (h, toks, order, [first[c] for c in order])):
+                e = FramedDiagram._make(d.crossings, d.mate, d.free_loops)
+                e._walk = walk
+                assert e.canonical_code() == want
+
+    def test_no_walk_from_a_deleted_or_switched_start(self):
+        d = kink_chain(5, seed=3)[0]
+        d.canonical_code()
+        start = d._walk[0]
+        assert d.switch_crossing(start >> 2)._walk is None
+        assert d.smooth(start >> 2, "A")._walk is None
+        assert diagram._walk_without_kink(d._walk, start >> 2) is None
 
 
 class TestReductions:
