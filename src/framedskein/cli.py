@@ -58,8 +58,13 @@ def _node_budget(option: int | None) -> int:
 def _read_input(args):
     if args.text is not None:
         return parse_diagram(args.text, args.format)
-    with open(getattr(args, "in")) as f:
-        return parse_diagram(f.read(), args.format)
+    path = getattr(args, "in")
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e}") from None
+    return parse_diagram(text, args.format)
 
 
 def cmd_eval(args) -> int:

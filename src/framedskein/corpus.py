@@ -131,7 +131,7 @@ def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
     out = Path(dir_path)
     path = out / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as e:
         raise ParseError(f"{path} is not JSON: {e}") from None
     if not isinstance(manifest, list):
@@ -149,8 +149,13 @@ def load_corpus(dir_path: str | Path) -> list[CorpusEntry]:
             raise ParseError(f"{path}: entry {i} has file {m['file']!r}, "
                              "which is not a file name in the corpus "
                              "directory")
-        e = CorpusEntry(m["id"], (out / m["file"]).read_text(),
-                        m["n_crossings"], m["n_components"], m["n_flat"])
+        try:
+            text = (out / m["file"]).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{out / m['file']} is not UTF-8 text: {err}") \
+                from None
+        e = CorpusEntry(m["id"], text, m["n_crossings"], m["n_components"],
+                        m["n_flat"])
         try:
             d = e.diagram()
         except (ParseError, DiagramError) as err:

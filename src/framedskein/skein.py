@@ -9,33 +9,32 @@ exists, otherwise switch the first crossing met as an under-strand in the
 deterministic traversal.  The switch count of that strategy upper-bounds
 the crossing-change distance used in the lexicographic induction.
 
-The evaluator keeps an explicit stack instead of recursing: each entry
-follows one reduction chain in a loop and suspends, as a generator, at a
-branch point or a split remainder until the driver loop sends it the
-child's value.  The Python stack therefore stays flat however deep the
-skein tree is, and only the memo's size limits the input.  Every
-diagram on a chain is still memoized under its canonical code.  The
-memo also keeps a code table (``MemoTable.codes``) from each stored form
-it has coded to its code, so a diagram rebuilt with the same labels
-costs one tuple hash, not a code.  The table lives and dies with its
-memo: evaluations share codes only when they share the memo.
+An evaluation is two passes.  The walk (``_walk``) pops the skein
+tree's diagrams off an explicit stack, so the Python stack stays flat
+however deep the tree is.  It codes, reduces, switches and smooths,
+counts the node budget and records the code and kind of each visit; it
+does no ring arithmetic and writes no memo value, so a budget error
+leaves the memo as it was.  The fold (``_fold``) reads that record in order, does
+all the ring arithmetic and puts each finished code in the memo.  The
+memo's code table (``MemoTable.codes``) maps each stored form it has
+coded to its code, so a diagram rebuilt with the same labels costs one
+tuple hash, not a code; evaluations share codes only when they share
+the memo.
 
 The skein tree depends on the diagram and on the keys already in the
 memo, never on the ring.  Each evaluation without ``select`` therefore
-records a plan: the code and kind of every visit, in the order the walk
-made them (memo hit, leaf with its writhe and component count, branch
-point, or reduction step).  Plans live in a dict that a diagram shares
-with every diagram on the same ``mate`` (its switches, resolutions and
-flattenings), so they live as long as one of those does.  A plan's key
-is the root's crossings and free loops and the memo's lineage: ``None``
-for an empty memo, else the plan of the memo's last evaluation, valid
-only while the memo holds just what that evaluation left.  When the key
-has a plan and there is no ``on_expand``, the evaluation replays it: the
-same memo reads, node count, budget error and inserts, and only the
-ring arithmetic, with no code, reduction or smoothing.  So the second
-ring, or the second ``n`` over a table of resolutions, costs a fraction
-of the first, and a replay leaves ``MemoTable.codes`` empty.  A plan
-keeps its codes compressed, about a quarter of the memo's key text.
+keeps the walk's record as a plan (see ``_Plan``).  Plans live in a dict
+that a diagram shares with every diagram on the same ``mate`` (its
+switches, resolutions and flattenings), so they live as long as one of
+those does.  A plan's key is the root's crossings and free loops and the
+memo's lineage: ``None`` for an empty memo, else the plan of the memo's
+last evaluation, valid only while the memo holds just what that
+evaluation left.  A plan is kept only when no key was put in during its
+walk.  When the key has a plan and there is no ``on_expand``, the
+evaluation replays it: it checks the plan's node count against the
+budget and folds it, with no code, reduction or smoothing.  So the
+second ring, or the second ``n`` over a table of resolutions, costs a
+fraction of the first, and a replay leaves ``MemoTable.codes`` empty.
 
 The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
@@ -317,27 +316,30 @@ def complexity_bound(d: FramedDiagram) -> Complexity:
 _HIT, _LEAF, _BRANCH, _KINK_POS, _KINK_NEG, _DELTA, _R2, _SPLIT = range(8)
 _TAGS = {("kink", 1): _KINK_POS, ("kink", -1): _KINK_NEG,
          ("delta", 0): _DELTA, ("none", 0): _R2, ("split", 0): _SPLIT}
+_ARITY = (0, 0, 3, 1, 1, 1, 1, 2)  # the child subtrees after each kind
 
 
 class _Plan:
-    """The skein tree of one evaluation, as the visits the walker made.
+    """The skein tree of one evaluation, as the visits the walk made.
 
     ``ops`` holds the kind of each visit, in visit order; a leaf's kind
     is followed by its writhe and component count.  ``codes`` holds the
     code of each visit, each ended by a newline and compressed: the
     codes of nearby visits share long runs, and the text shrinks about
-    fourfold.  ``size`` is the memo's length after the evaluation.
+    fourfold.  ``nodes`` counts the visits that are not memo hits, and
+    ``size`` is the memo's length after the evaluation.
     """
 
-    __slots__ = ("codes", "ops", "size")
+    __slots__ = ("codes", "ops", "nodes", "size")
 
-    def __init__(self, codes: list[str], ops: array, size: int):
+    def __init__(self, codes: list[str], ops: array, nodes: int, size: int):
         # A chunk at a time, so the whole text never exists at once.
         z = zlib.compressobj(1)
         packed = [z.compress(("\n".join(codes[i:i + 256]) + "\n").encode())
                   for i in range(0, len(codes), 256)]
         packed.append(z.flush())
-        self.codes, self.ops, self.size = tuple(packed), ops, size
+        self.codes, self.ops = tuple(packed), ops
+        self.nodes, self.size = nodes, size
 
     def visits(self) -> list[str]:
         return zlib.decompress(b"".join(self.codes)).decode().split("\n")[:-1]
@@ -359,9 +361,10 @@ class MemoTable(dict):
     ``lineage`` is ``None`` in a new memo, and then the plan of the
     last evaluation that followed or left one.  The memo holds just what
     that evaluation left while its length is the plan's ``size``; that
-    test needs keys to be only added, never removed.  A replay checks
-    each visit's hit or miss against the memo in any case, and raises
-    ``AssertionError`` where they differ.
+    test needs keys to be only added, never removed.  Only the fold
+    writes to the table, each key after those of the subtree below it.
+    A replay checks each visit's hit or miss against the table, and
+    raises ``AssertionError`` where they differ.
     """
 
     def __init__(self):
@@ -427,154 +430,125 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         key = (d.crossings, d.free_loops, lineage if start else None)
         if d._plans is not None:
             plan = d._plans.get(key)
-    codes = memo.codes
-    nodes = own = 0
-    alpha, alpha_inv, delta = eng.alpha, eng.alpha_inv, eng.delta
-    visits: list[str] = []  # the recorded visits, see ``_Plan``
-    ops = array("i")
+    replay = plan is not None and on_expand is None
+    visits, ops, nodes = ((plan.visits(), plan.ops, plan.nodes) if replay
+                          else _walk(d, memo, budget, on_expand, select))
+    if nodes > budget:
+        raise BudgetExceededError(
+            f"skein tree exceeded the node budget of {budget}")
+    # Keep a new plan only when no key was put in during the walk.
+    keep = key is not None and plan is None and len(memo) == start
+    val = _fold(visits, ops, memo, eng, replay)
+    if keep:
+        plan = _Plan(visits, ops, nodes, len(memo))
+        if d._plans is None:
+            d._plans = {}
+        d._plans[key] = plan
+    if key is not None and plan is not None:
+        memo.lineage = plan
+    return eng.value(val)
 
-    def count():
-        nonlocal nodes
+
+def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select):
+    """The skein tree of ``d`` as ``(visits, ops, nodes)`` (see
+    ``_Plan``), or its first ``budget + 1`` nodes.
+
+    Children are visited in the order switched, A, B, or first piece,
+    remainder.  Under a visit's children the stack holds its code, which
+    marks the subtree finished when it is popped; a visit is a hit when
+    its code is in the memo or finished, not when it is merely open.
+    """
+    codes = memo.codes
+    visits: list[str] = []
+    ops = array("i")
+    finished: set[str] = set()
+    nodes = 0
+    stack: list = [d]
+    while stack:
+        cur = stack.pop()
+        if cur.__class__ is str:
+            finished.add(cur)
+            continue
+        form = (cur.crossings, cur.mate, cur.free_loops)
+        code = codes.get(form)
+        if code is None:
+            code = codes[form] = cur.canonical_code()
+        visits.append(code)
+        if code in memo or code in finished:
+            ops.append(_HIT)
+            continue
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
-                f"skein tree exceeded the node budget of {budget}")
+            break
+        red = detect_reduction(cur)
+        if red is not None:
+            cur, bk = apply_reduction(cur, red)
+            ops.append(_TAGS[bk.kind, bk.kink_sign])
+            stack += ((code, cur) if bk.remainder is None
+                      else (code, bk.remainder, cur))
+            continue
+        bad = cur.bad_crossings()
+        if not bad:
+            ops.extend((_LEAF, cur.total_self_writhe(), cur.n_components()))
+            finished.add(code)
+            continue
+        ops.append(_BRANCH)
+        c = bad[0] if select is None else select(cur)
+        switched = cur.switch_crossing(c)
+        a_sm, b_sm = cur.smooth(c, "A"), cur.smooth(c, "B")
+        if on_expand is not None:
+            for child in (switched, a_sm, b_sm):
+                on_expand(cur, child)
+        stack += (code, b_sm, a_sm, switched)
+    return visits, ops, nodes
 
-    def leaf(w: int, m: int):
-        # A globally descending diagram is a stacked framed unlink; the
-        # kink and loop laws force its value.  A crossingless irreducible
-        # diagram is a single circle (m = 1, w = 0).
-        return alpha ** w * delta ** (m - 1) * eng.unknot
 
-    def put(code: str, val) -> None:
-        # ``own`` counts the keys this walk adds to the memo.
-        nonlocal own
-        if code not in memo:
-            own += 1
-        memo[code] = val
-
-    def unwind(chain, val):
-        # Multiply the chain's factors back up it; the value of a split
-        # remainder comes back from the driver loop through ``yield``.
-        for code, tag, rest in reversed(chain):
-            if tag == _DELTA:
+def _fold(visits: list[str], ops: array, memo: MemoTable, eng: _Engine,
+          replay: bool):
+    """The root value of a walk's record.  This is the only code that
+    does ring arithmetic or writes the memo: each code goes in when its
+    subtree is finished, in the walk's post-order.  A replay checks each
+    visit's hit or miss against the memo; a first walk's need not match
+    it, since ``on_expand`` may have put keys in."""
+    alpha, alpha_inv, delta, z = eng.alpha, eng.alpha_inv, eng.delta, eng.z
+    vals: list = []  # the finished children of the pending visits
+    # code, kind, and the length of ``vals`` when its last child finishes
+    pending: list[tuple[str, int, int]] = []
+    pos = 0
+    for code in visits:
+        tag = ops[pos]
+        pos += 1
+        if replay and (code in memo) != (tag == _HIT):
+            raise AssertionError("skein plan does not match the memo")
+        if tag == _HIT:
+            val = memo[code]
+        elif tag == _LEAF:
+            # A globally descending diagram is a stacked framed unlink;
+            # the kink and loop laws force its value.  A crossingless
+            # irreducible diagram is a single circle (m = 1, w = 0).
+            val = alpha ** ops[pos] * delta ** (ops[pos + 1] - 1) * eng.unknot
+            pos += 2
+            memo[code] = val
+        else:
+            pending.append((code, tag, len(vals) + _ARITY[tag] - 1))
+            continue
+        # ``val`` is the last child of each pending visit it finishes.
+        while pending and pending[-1][2] == len(vals):
+            code, tag, _ = pending.pop()
+            if tag == _BRANCH:
+                a = vals.pop()
+                val = vals.pop() + z * (a - val)
+            elif tag == _DELTA:
                 val = delta * val
             elif tag == _KINK_POS:
                 val = alpha * val
             elif tag == _KINK_NEG:
                 val = alpha_inv * val
             elif tag == _SPLIT:
-                val = delta * val * (yield rest)
-            put(code, val)
-        return val
-
-    def go(cur: FramedDiagram):
-        # Follow the reduction chain down to a memo hit, a descending leaf
-        # or a branch point, then multiply the factors back up it.  The
-        # value of each child diagram (switched, A, B, split remainder)
-        # comes back from the driver loop below through ``yield``.  Each
-        # visit is recorded in ``visits`` and ``ops``.
-        chain: list[tuple[str, int, Optional[FramedDiagram]]] = []
-        while True:
-            form = (cur.crossings, cur.mate, cur.free_loops)
-            code = codes.get(form)
-            if code is None:
-                code = codes[form] = cur.canonical_code()
-            visits.append(code)
-            if code in memo:
-                ops.append(_HIT)
-                val = memo[code]
-                break
-            count()
-            red = detect_reduction(cur)
-            if red is not None:
-                cur, bk = apply_reduction(cur, red)
-                tag = _TAGS[bk.kind, bk.kink_sign]
-                ops.append(tag)
-                chain.append((code, tag, bk.remainder))
-                continue
-            bad = cur.bad_crossings()
-            if not bad:
-                w, m = cur.total_self_writhe(), cur.n_components()
-                ops.extend((_LEAF, w, m))
-                val = leaf(w, m)
-            else:
-                ops.append(_BRANCH)
-                c = bad[0] if select is None else select(cur)
-                switched = cur.switch_crossing(c)
-                a_sm = cur.smooth(c, "A")
-                b_sm = cur.smooth(c, "B")
-                if on_expand is not None:
-                    for child in (switched, a_sm, b_sm):
-                        on_expand(cur, child)
-                val = (yield switched) + eng.z * ((yield a_sm) - (yield b_sm))
-            put(code, val)
-            break
-        if chain:
-            val = yield from unwind(chain, val)
-        return val
-
-    k = pos = 0
-
-    def replay(_):
-        # ``go`` without the diagrams: the same memo reads, node count and
-        # inserts, read off the plan from visit ``k`` and op ``pos`` on.
-        # The driver sends each child's value as it does to ``go``.
-        nonlocal k, pos
-        chain: list[tuple[str, int, None]] = []
-        while True:
-            code, tag = plan_codes[k], plan_ops[pos]
-            k += 1
-            pos += 1
-            if (code in memo) != (tag == _HIT):
-                raise AssertionError("skein plan does not match the memo")
-            if tag == _HIT:
-                val = memo[code]
-                break
-            count()
-            if tag >= _KINK_POS:
-                chain.append((code, tag, None))
-                continue
-            if tag == _LEAF:
-                val = leaf(plan_ops[pos], plan_ops[pos + 1])
-                pos += 2
-            else:
-                val = (yield None) + eng.z * ((yield None) - (yield None))
-            put(code, val)
-            break
-        if chain:
-            val = yield from unwind(chain, val)
-        return val
-
-    if plan is not None and on_expand is None:
-        walk, plan_codes, plan_ops = replay, plan.visits(), plan.ops
-    else:
-        walk = go
-    # The suspended walks form an explicit stack, so the Python stack
-    # stays flat however deep the skein tree is.
-    stack = [walk(d)]
-    val = None
-    while True:
-        try:
-            child = stack[-1].send(val)
-        except StopIteration as done:
-            stack.pop()
-            val = done.value
-            if not stack:
-                break
-        else:
-            stack.append(walk(child))
-            val = None
-    if key is not None:
-        # Keep the plan only when nothing but this walk added keys.
-        if plan is None and len(memo) == start + own:
-            plan = _Plan(visits, ops, len(memo))
-            if d._plans is None:
-                d._plans = {}
-            d._plans[key] = plan
-        if plan is not None:
-            memo.lineage = plan
-    return eng.value(val)
+                val = delta * vals.pop() * val
+            memo[code] = val
+        vals.append(val)
+    return val
 
 
 def evaluate_series(d: FramedDiagram, n: int, order: int,

@@ -141,6 +141,20 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("input error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--in"), ("verify", "--suite", "oracle", "--corpus")])
+    def test_file_not_utf8_is_parse_error(self, capsys, tmp_path, argv):
+        from framedskein.corpus import generate_corpus, write_corpus
+        rows = json.loads(write_corpus(generate_corpus()[:2], tmp_path)
+                          .read_text())
+        bad = tmp_path / rows[1]["file"]
+        bad.write_bytes(b"\xffX[1,2,2,1]\n")
+        path = bad if argv[0] == "eval" else tmp_path
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error") and err.count("\n") == 1
+        assert bad.name in err and "UTF-8" in err
+
     def test_out_of_memory_is_resource_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -118,3 +118,11 @@ class TestMalformedManifest:
         with pytest.raises(ParseError) as info:
             load_corpus(tmp_path)
         assert f"entry 0 has no int {key!r}" in str(info.value)
+
+    def test_pd_file_not_utf8(self, tmp_path):
+        manifest = write_corpus(generate_corpus()[:2], tmp_path)
+        name = json.loads(manifest.read_text())[1]["file"]
+        (tmp_path / name).write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert f"{name} is not UTF-8 text" in str(info.value)

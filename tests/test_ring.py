@@ -135,6 +135,13 @@ class TestGaussRational:
     def test_i_squares_to_minus_one(self):
         assert I * I == GaussRational.of(-1)
 
+    def test_division(self):
+        # (3 + 4i)(1 - 2i) / 5
+        assert GaussRational.of(3, 4) / GaussRational.of(1, 2) == \
+            GaussRational.of(Fraction(11, 5), Fraction(-2, 5))
+        with pytest.raises(NotAUnitError):
+            I / GaussRational.of(0)
+
 
 class TestLaurentPoly:
     @given(laurents(), laurents(), laurents())

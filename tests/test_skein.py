@@ -672,6 +672,50 @@ class TestReplay:
         assert d._plans == {}
         assert outcome(d, RINGS[1]) == outcome(braid(word), RINGS[1])
 
+    @pytest.mark.parametrize("params", RINGS[:2])
+    def test_budget_error_leaves_the_memo_as_it_was(self, monkeypatch,
+                                                    params):
+        # the first word's tree has 686 visits that are not hits, and 683
+        # keys: a descendant can share the code of an open ancestor
+        counts = self.counted_codes(monkeypatch)
+        d = braid(C10_WORDS[0])
+        for replayed in (False, True):  # no plan yet, then d's plan
+            memo = MemoTable()
+            counts[0] = 0
+            with pytest.raises(BudgetExceededError):
+                evaluate(d, params, memo=memo, budget=685)
+            assert (memo, counts[0] == 0) == ({}, replayed)
+            evaluate(d, params, memo=memo, budget=686)
+            assert len(memo) == 683
+        # a memo that holds another tree, and a plan on its lineage
+        other = braid(C10_WORDS[1])
+        for replayed in (False, True):
+            memo = MemoTable()
+            evaluate(other, params, memo=memo)
+            before = list(memo.items())
+            counts[0] = 0
+            with pytest.raises(BudgetExceededError):
+                evaluate(d, params, memo=memo, budget=1)
+            assert list(memo.items()) == before
+            assert (counts[0] == 0) == replayed
+            evaluate(d, params, memo=memo)
+
+    def test_on_expand_may_put_the_root_key(self):
+        # the walk saw the root as a miss; the fold puts it in again
+        word = C10_WORDS[0]
+        for params in RINGS[:2]:
+            want = MemoTable()
+            value = evaluate(braid(word), params, memo=want)
+            root = braid(word).canonical_code()
+            d, memo = braid(word), MemoTable()
+
+            def put(parent, child):
+                if root not in memo:
+                    memo[root] = want[root]
+            assert evaluate(d, params, memo=memo, on_expand=put) == value
+            assert dict(memo) == dict(want)
+            assert d._plans == {}
+
     def test_memo_shared_by_two_families(self, monkeypatch):
         counts = self.counted_codes(monkeypatch)
         d, e = braid(C10_WORDS[0]), braid("s1 s2^-1 s1 s2^-1 s1 s2")
