@@ -102,7 +102,6 @@ def _corpus_entries(args):
 
 
 def _suite_cases(args):
-    entries = _corpus_entries(args)
     budget = args.node_budget
     suite = args.suite
 
@@ -118,6 +117,9 @@ def _suite_cases(args):
                 return report.ok, "; ".join(report.failures) or "audit clean"
             yield f"audit-{ring}-{norm}", run
         return
+
+    # Every other suite reads the corpus.
+    entries = _corpus_entries(args)
 
     if suite == "invariance":
         rng = random.Random(args.seed)
@@ -177,9 +179,6 @@ def _suite_cases(args):
                         return False, f"mismatch at n={n}"
                 return True, "n=0,1,2"
             yield e.id, run
-        return
-
-    raise ValueError(f"unknown suite {suite!r}")
 
 
 def cmd_verify(args) -> int:

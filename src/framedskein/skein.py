@@ -46,7 +46,6 @@ at ``t = e^x`` into a ``PowerSeries`` of the requested order.
 
 from __future__ import annotations
 
-import zlib
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -322,27 +321,17 @@ _ARITY = (0, 0, 3, 1, 1, 1, 1, 2)  # the child subtrees after each kind
 class _Plan:
     """The skein tree of one evaluation, as the visits the walk made.
 
-    ``ops`` holds the kind of each visit, in visit order; a leaf's kind
-    is followed by its writhe and component count.  ``codes`` holds the
-    code of each visit, each ended by a newline and compressed: the
-    codes of nearby visits share long runs, and the text shrinks about
-    fourfold.  ``nodes`` counts the visits that are not memo hits, and
+    ``visits`` holds the code of each visit and ``ops`` its kind, both in
+    visit order; a leaf's kind is followed by its writhe and component
+    count.  ``nodes`` counts the visits that are not memo hits, and
     ``size`` is the memo's length after the evaluation.
     """
 
-    __slots__ = ("codes", "ops", "nodes", "size")
+    __slots__ = ("visits", "ops", "nodes", "size")
 
-    def __init__(self, codes: list[str], ops: array, nodes: int, size: int):
-        # A chunk at a time, so the whole text never exists at once.
-        z = zlib.compressobj(1)
-        packed = [z.compress(("\n".join(codes[i:i + 256]) + "\n").encode())
-                  for i in range(0, len(codes), 256)]
-        packed.append(z.flush())
-        self.codes, self.ops = tuple(packed), ops
+    def __init__(self, visits: list[str], ops: array, nodes: int, size: int):
+        self.visits, self.ops = visits, ops
         self.nodes, self.size = nodes, size
-
-    def visits(self) -> list[str]:
-        return zlib.decompress(b"".join(self.codes)).decode().split("\n")[:-1]
 
 
 class MemoTable(dict):
@@ -431,7 +420,7 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
         if d._plans is not None:
             plan = d._plans.get(key)
     replay = plan is not None and on_expand is None
-    visits, ops, nodes = ((plan.visits(), plan.ops, plan.nodes) if replay
+    visits, ops, nodes = ((plan.visits, plan.ops, plan.nodes) if replay
                           else _walk(d, memo, budget, on_expand, select))
     if nodes > budget:
         raise BudgetExceededError(

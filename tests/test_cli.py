@@ -181,6 +181,29 @@ class TestVerify:
         assert all(set(c) == {"id", "pass", "detail", "ms"}
                    for c in report["cases"])
 
+    @pytest.mark.parametrize("normalization", ["unit", "prop42"])
+    def test_conventions_suite_reads_no_corpus(self, capsys, monkeypatch,
+                                               tmp_path, normalization):
+        def strip(out):
+            report = json.loads(out)
+            for c in report["cases"]:
+                c.pop("ms")
+            return report
+
+        def no_corpus(seed):
+            raise AssertionError("the corpus was generated")
+        monkeypatch.setattr(cli.corpus_mod, "_cache", {})
+        monkeypatch.setattr(cli.corpus_mod, "generate_corpus", no_corpus)
+        argv = ("verify", "--suite", "conventions",
+                "--normalization", normalization, "--json")
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        (tmp_path / "manifest.json").write_bytes(b"\xff\xfe")
+        (tmp_path / "k.pd").write_bytes(b"\xff")
+        for corpus in (tmp_path / "missing", tmp_path):
+            got = run(capsys, *argv, "--corpus", str(corpus))
+            assert (got[0], strip(got[1]), got[2]) == (code, strip(out), err)
+
     def test_prop42_conventions_fail(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "conventions",
                            "--normalization", "prop42", "--json")

@@ -733,6 +733,38 @@ class TestReplay:
             assert got == fresh
             assert list(memo.items()) == list(want.items())
 
+    def test_replay_refuses_a_memo_that_lost_a_hit(self, monkeypatch):
+        counts = self.counted_codes(monkeypatch)
+        word = C10_WORDS[0]
+        d = braid(word)
+        switched = d.switch_crossing(3)
+        sequence = MemoTable()
+        for x in (d, switched):  # the switch's plan has d's on its lineage
+            evaluate(x, RINGS[0], memo=sequence)
+        first = d._plans[d.crossings, d.free_loops, None]
+        plan = d._plans[switched.crossings, switched.free_loops, first]
+        want = evaluate(braid(word).switch_crossing(3), RINGS[0])
+        foreign = outcome(braid(C10_WORDS[1]), RINGS[0])[1]
+        for swap in (False, True):
+            memo = MemoTable()
+            evaluate(d, RINGS[0], memo=memo)
+            if swap:  # same length, one hit of the plan swapped out
+                hit = next(code for code in plan.visits if code in memo)
+                k, v = next(kv for kv in foreign if kv[0] not in memo)
+                del memo[hit]
+                memo[k] = v
+            assert (memo.lineage, len(memo)) == (first, first.size)
+            counts[0] = 0
+            got = []
+            if swap:
+                with pytest.raises(AssertionError,
+                                   match="skein plan does not match the memo"):
+                    got.append(evaluate(switched, RINGS[0], memo=memo))
+            else:
+                got.append(evaluate(switched, RINGS[0], memo=memo))
+            assert got == ([] if swap else [want])
+            assert counts[0] == 0  # replayed, not walked
+
     def test_plan_leaves_no_reference_cycle(self):
         d = braid(C10_WORDS[0])
         gc.collect()
