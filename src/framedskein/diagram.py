@@ -57,14 +57,15 @@ the best so far.  When a complete walk ties the best, the map between
 the two walks is an automorphism of the piece, and the images of the
 starts already walked are skipped (pruning after Hopcroft-Wong).  Codes
 of the pieces are sorted and joined, and ``;loops:k`` records the free
-loops.  A one-piece diagram keeps its least walk (``_walk``), and the
-moves hand it to their results.  Removing a kink drops the kink's two
-tokens and numbers the crossings after it one lower; switching a
-crossing swaps the roles of its two tokens.  Either edit gives the
-result's own walk from the same start, which then counts as walked.
-Removing a bigon or smoothing a crossing can change where a strand end
-resumes, so that result gets only the start, and walks it first.  The
-other starts then stop within a few tokens.  A walk costs O(n); the 121
+loops.  A one-piece diagram keeps its least walk (``_walk``), and a
+move hands it to its result only when it can edit it exactly.  Removing
+a kink drops the kink's two tokens and numbers the crossings after it
+one lower, switching a crossing swaps the roles of its two tokens, and
+removing a free loop leaves it as it is.  Each gives the result's own
+walk from the same start, which then counts as walked, and the other
+starts stop as soon as they exceed it.  Removing a bigon or smoothing a
+crossing can change where a strand end resumes, or split the diagram,
+so their results are coded from scratch.  A walk costs O(n); the 121
 codes of a 120-kink chain step through 9,035 walk positions (50,506
 when each diagram is coded afresh), and the closures ``s1^1`` to
 ``s1^60`` through 611,194 (689,384).
@@ -78,6 +79,7 @@ least stub, as ``faces()`` orders them, without building the faces.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -353,10 +355,7 @@ class FramedDiagram:
             raise DiagramError(f"unknown smoothing kind {kind!r}")
         if not 0 <= c < self.n_crossings:
             raise DiagramError(f"no crossing {c}")
-        d = self.remove_crossings({c: self._smoothing_pairs(c, kind)})
-        if self._walk is not None:
-            d._walk = _start_after_removal(self._walk, (c,))
-        return d
+        return self.remove_crossings({c: self._smoothing_pairs(c, kind)})
 
     def remove_crossings(self, pairings: dict[int, tuple[tuple[int, int], tuple[int, int]]]
                          ) -> "FramedDiagram":
@@ -562,8 +561,7 @@ def _piece_code(crossings: tuple, mate: tuple[int, ...],
 
     Starts are the over entries (every entry of an all-flat piece) whose
     second token, read off the arc leaving the start, is least.  A
-    ``seed`` whose start is one of them counts as walked when it holds
-    the walk, and is walked first when it holds only its start.
+    ``seed`` walk whose start is one of them counts as walked.
     """
     flat = all(crossings[c] is None for c in piece)
     starts, least = [], 99  # above any second token
@@ -589,11 +587,8 @@ def _piece_code(crossings: tuple, mate: tuple[int, ...],
     best = bnum = None
     done = set()
     if seed is not None and seed[0] in starts:
-        if seed[1] is None:
-            starts.insert(0, seed[0])
-        else:
-            bstart, best, border, bfirst = seed
-            done.add(bstart)
+        bstart, best, border, bfirst = seed
+        done.add(bstart)
     for s in starts:
         if s in done:
             continue
@@ -636,7 +631,7 @@ def _canonical_code(d: FramedDiagram) -> str:
     pieces: dict[int, list[int]] = {}
     for c, root in enumerate(roots):
         pieces.setdefault(root, []).append(c)
-    codes = sorted(_piece_code(d.crossings, d.mate, p, d._walk)[0]
+    codes = sorted(_piece_code(d.crossings, d.mate, p)[0]
                    for p in pieces.values())
     return ";".join(codes) + f";loops:{d.free_loops}"
 
@@ -644,11 +639,10 @@ def _canonical_code(d: FramedDiagram) -> str:
 # A diagram's ``_walk`` is a walk of its single piece, kept after the
 # code so that the moves can hand it on: ``(start, tokens, order,
 # first)``, where ``order`` lists the crossings by number and ``first``
-# their first-entry slots in that order.  A move whose result can be
-# walked only from the parent's start hands on ``(start, None, None,
-# None)``.  Each function below maps a walk of the parent to one of the
-# child, or to ``None`` when the move deletes or switches the start's
-# crossing.
+# their first-entry slots in that order.  Only the moves that keep one
+# piece hand it on: a kink removal, a switch and a free-loop removal.
+# Each function below maps a walk of the parent to one of the child, or
+# to ``None`` when the move deletes or switches the start's crossing.
 
 
 def _walk_without_kink(walk: tuple, c: int) -> Optional[tuple]:
@@ -662,8 +656,6 @@ def _walk_without_kink(walk: tuple, c: int) -> Optional[tuple]:
         return None
     if start > 4 * c:
         start -= 4
-    if toks is None:
-        return start, None, None, None
     k = order.index(c)
     lo, hi = 12 * k, 12 * k + 12
     toks = [t - 12 if t >= hi else t for t in toks if not lo <= t < hi]
@@ -677,27 +669,10 @@ def _walk_switched(walk: tuple, c: int) -> Optional[tuple]:
     start, toks, order, first = walk
     if start >> 2 == c:
         return None
-    if toks is None:
-        return walk
     lo = 12 * order.index(c)
     toks = [t if not lo <= t < lo + 12 else t + 4 if t < lo + 4 else t - 4
             for t in toks]
     return start, toks, order, first
-
-
-def _start_after_removal(walk: tuple, removed: Sequence[int]
-                         ) -> Optional[tuple]:
-    """The start of ``walk`` after the crossings ``removed`` are deleted.
-    The joins can change which crossing a strand end resumes at, so
-    only the start is handed on."""
-    start = walk[0]
-    c = start >> 2
-    if c in removed:
-        return None
-    for r in removed:
-        if r < c:
-            start -= 4
-    return start, None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +791,6 @@ def apply_reduction(d: FramedDiagram, move: Reduction) -> tuple[FramedDiagram, B
     if isinstance(move, R2Pair):
         reduced = d.remove_crossings({move.c1: ((0, 2), (1, 3)),
                                       move.c2: ((0, 2), (1, 3))})
-        if d._walk is not None:
-            reduced._walk = _start_after_removal(d._walk, (move.c1, move.c2))
         return reduced, Bookkeeping("none")
     raise DiagramError(f"unknown move {move!r}")
 
@@ -948,6 +921,12 @@ def _parse_gauss(text: str) -> FramedDiagram:
         raise ParseError(f"Gauss code is not planar: {e}") from e
 
 
+# ``int()`` would also take "_" separators, spaces and non-ASCII digits.
+# The index may carry a minus only so that a negative one is named as such.
+_BRAID_INDEX = re.compile(r"-?[0-9]+")
+_BRAID_POWER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_braid(text: str) -> FramedDiagram:
     # Words like "s1 s2^-1 s1"; the closure is taken, idle strands become
     # free loops.
@@ -958,16 +937,12 @@ def _parse_braid(text: str) -> FramedDiagram:
         power = 1
         if "^" in t:
             t, p = t.split("^", 1)
-            try:
-                power = int(p)
-            except ValueError:
+            if not _BRAID_POWER.fullmatch(p):
                 raise ParseError(f"bad power in {tok!r}")
-        if not t.startswith("s"):
+            power = int(p)
+        if not t.startswith("s") or not _BRAID_INDEX.fullmatch(t, 1):
             raise ParseError(f"bad braid letter {tok!r}")
-        try:
-            k = int(t[1:])
-        except ValueError:
-            raise ParseError(f"bad braid letter {tok!r}")
+        k = int(t[1:])
         if k < 1:
             raise ParseError(f"strand index must be positive in {tok!r}")
         width = max(width, k + 1)

@@ -89,6 +89,12 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("parse error") and err.count("\n") == 1
 
+    def test_malformed_braid_number(self, capsys):
+        code, out, err = run(capsys, "eval", "--text", "s1_0",
+                             "--format", "braid")
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("parse error") and err.count("\n") == 1
+
     def test_parse_error_position_once(self, capsys):
         code, _, err = run(capsys, "eval", "--text", "X[1,2")
         assert code == EXIT_PARSE

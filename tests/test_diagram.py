@@ -325,7 +325,7 @@ class TestPrunedCode:
 
 class TestCarriedWalks:
     """A move hands its result the parent's least walk, edited to the
-    result's walk from the same start, or only that start."""
+    result's walk from the same start, or nothing."""
 
     @staticmethod
     def assert_is_walk(d):
@@ -340,55 +340,50 @@ class TestCarriedWalks:
 
     @pytest.mark.parametrize("family", sorted(TREE_ROOTS))
     def test_carried_walks_on_skein_trees(self, monkeypatch, family):
-        carried = {"walk": 0, "start": 0}
+        carried = {"walk": 0}
 
-        def check(parent, child, removed):
-            if child._walk is None:
-                return
-            if child._walk[1] is not None:
-                self.assert_is_walk(child)
+        def check(d):
+            # only a one-piece diagram holds a walk, and it is exact
+            if d._walk is not None:
+                assert not any(d._crossing_components())
+                self.assert_is_walk(d)
                 carried["walk"] += 1
-            else:
-                # the parent's start, renumbered past the deleted crossings
-                start = parent._walk[0]
-                assert child._walk[0] == \
-                    start - 4 * sum(r < start >> 2 for r in removed)
-                carried["start"] += 1
 
         reduce, code = skein.apply_reduction, diagram._canonical_code
 
         def reduced(d, move):
             out = reduce(d, move)
-            removed = [move.crossing] if isinstance(move, R1Kink) else \
-                [move.c1, move.c2] if isinstance(move, R2Pair) else []
-            check(d, out[0], removed)
+            if isinstance(move, R2Pair):
+                assert out[0]._walk is None
+            if isinstance(move, DisjointSplit):
+                assert out[0]._walk is None and out[1].remainder._walk is None
+            check(out[0])
             return out
 
         def expanded(parent, child):
-            # the switched child keeps every crossing; A and B lose the
-            # selected one
-            c = parent.bad_crossings()[0]
-            check(parent, child,
-                  [] if child.n_crossings == parent.n_crossings else [c])
+            # the switched child keeps every crossing; A and B are
+            # smoothings and get nothing
+            if child.n_crossings < parent.n_crossings:
+                assert child._walk is None
+            check(child)
 
         def checked_code(d):
             out = code(d)
             assert out == reference_code(d)
+            assert d._walk is None or not any(d._crossing_components())
             return out
         monkeypatch.setattr(skein, "apply_reduction", reduced)
         monkeypatch.setattr(diagram, "_canonical_code", checked_code)
         for d in TREE_ROOTS[family]():
             evaluate(d, default_params("laurent"), on_expand=expanded)
         assert carried["walk"] > 0
-        if family != "kinks":  # kink chains have no branch points
-            assert carried["start"] > 0
 
     @pytest.mark.parametrize("words", [
         ("s1 s1 s1", "s1^-1 s2 s1^-1 s2"), ("s1 s2^-1 s1 s2^-1", "s1 s1"),
         ("s1 s2 s1 s3",)])
     def test_any_carried_walk_gives_the_code(self, words):
-        # a smoothing can split its result, so a carried start may lie in
-        # another piece, and a start need not be a candidate of its own
+        # a walk's start need not be a candidate, and a diagram of
+        # several pieces codes each piece afresh
         d = braid(words[0])
         for word in words[1:]:
             d = d.disjoint_union(braid(word))
@@ -398,11 +393,9 @@ class TestCarriedWalks:
             order, first = [], [0] * n
             toks = diagram._walk_tokens(d.crossings, d.mate, h, None,
                                         [-1] * n, first, [False] * n, order)
-            for walk in ((h, None, None, None),
-                         (h, toks, order, [first[c] for c in order])):
-                e = FramedDiagram._make(d.crossings, d.mate, d.free_loops)
-                e._walk = walk
-                assert e.canonical_code() == want
+            e = FramedDiagram._make(d.crossings, d.mate, d.free_loops)
+            e._walk = h, toks, order, [first[c] for c in order]
+            assert e.canonical_code() == want
 
     def test_no_walk_from_a_deleted_or_switched_start(self):
         d = kink_chain(5, seed=3)[0]
@@ -894,3 +887,10 @@ class TestParsing:
     def test_bad_braid_token(self):
         with pytest.raises(ParseError):
             parse_diagram("s0 q2", "braid")
+
+    @pytest.mark.parametrize("text", ["s1_0", "s1^1_0", "s+1", "s\uff11",
+                                      "s1^\u0663"])
+    def test_braid_numbers_are_ascii_digits(self, text):
+        # int() would read these as s10, s1^10, s1, s1 and s1^3
+        with pytest.raises(ParseError):
+            parse_diagram(text, "braid")
