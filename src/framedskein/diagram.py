@@ -10,8 +10,9 @@ Representation.  Slot ``s`` of crossing ``c`` is the int stub
 ``h ^ 2`` the opposite slot.  A diagram stores three things: the over
 flags ``crossings``, the int tuple ``mate`` (``mate[h]`` is the stub at
 the other end of ``h``'s arc) and the count ``free_loops``.  ``arcs`` is
-a derived view, the sorted pairs of ``(crossing, slot)`` stubs, that the
-parsers, ``serialize_pd`` and ``add_kink`` read.  Faces, strands and
+a derived view, the sorted pairs of ``(crossing, slot)`` stubs, read by
+``serialize_pd``, ``singular.insert_flat_kink`` and kink-chain builders.
+Faces, strands and
 connected pieces depend on ``mate`` alone and are computed on demand;
 one depth-first search labels each crossing with the least crossing of
 its piece.  Only the public constructor ``FramedDiagram(crossings, arcs,
@@ -19,8 +20,9 @@ free_loops)`` validates (stub range, perfect matching, over flags,
 planarity).  The local moves build their results with the private
 ``FramedDiagram._make``.  A move that keeps ``mate`` (switching,
 resolving or flattening a crossing, adding or removing free loops)
-shares the parent's ``mate`` tuple and carries its faces, strands and
-pieces, so each is computed at most once along such moves.  Removing a
+shares the parent's ``mate`` tuple and carries its faces, strands,
+pieces and skein plans, so each is computed at most once along such
+moves.  Removing a
 kink from a connected diagram leaves it connected, so that removal
 carries the pieces too; smoothings and bigon removals can split a
 diagram, and their results compute the pieces again.
@@ -57,8 +59,9 @@ the best so far.  When a complete walk ties the best, the map between
 the two walks is an automorphism of the piece, and the images of the
 starts already walked are skipped (pruning after Hopcroft-Wong).  Codes
 of the pieces are sorted and joined, and ``;loops:k`` records the free
-loops.  A one-piece diagram keeps its least walk (``_walk``), and a
-move hands it to its result only when it can edit it exactly.  Removing
+loops.  The code is not stored.  A one-piece diagram keeps its least
+walk (``_walk``), which seeds any later coding of it, and a move hands
+it to its result only when it can edit it exactly.  Removing
 a kink drops the kink's two tokens and numbers the crossings after it
 one lower, switching a crossing swaps the roles of its two tokens, and
 removing a free loop leaves it as it is.  Each gives the result's own
@@ -99,10 +102,11 @@ class ParseError(ValueError):
 
 
 class FramedDiagram:
-    """Immutable planar link diagram; all move operations return copies."""
+    """Immutable planar link diagram; all move operations return copies.
+    Its ``mate`` family shares one skein plan store, whatever built it."""
 
-    __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_code",
-                 "_components", "_pieces", "_faces", "_plans", "_walk")
+    __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_components",
+                 "_pieces", "_faces", "_plans", "_walk")
 
     def __init__(self, crossings: Iterable[Optional[int]],
                  arcs: Iterable[tuple[HalfEdge, HalfEdge]],
@@ -123,7 +127,6 @@ class FramedDiagram:
             if over not in (0, 1, None):
                 raise DiagramError(f"bad over flag {over!r}")
         self._store(crossings, tuple(mate), free_loops)
-        self._plans = {}
         if not self._is_planar():
             raise DiagramError("diagram is not planar (Euler count failed)")
 
@@ -147,8 +150,8 @@ class FramedDiagram:
         self.crossings: tuple[Optional[int], ...] = crossings
         self.mate: tuple[int, ...] = mate
         self.free_loops = free_loops
-        self._arcs = self._code = self._components = None
-        self._pieces = self._faces = self._plans = self._walk = None
+        self._arcs = self._components = self._pieces = self._faces = None
+        self._walk, self._plans = None, {}
 
     # -- structure ---------------------------------------------------------
 
@@ -311,11 +314,16 @@ class FramedDiagram:
     def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
         """A diagram on this one's ``mate``, which also shares the caches
         that depend on ``mate`` alone: pieces, strands and faces, and the
-        skein plans of the family (see ``skein``)."""
+        family's plan store."""
         d = FramedDiagram._make(crossings, self.mate, free_loops)
         d._pieces, d._components, d._faces, d._plans = \
             self._pieces, self._components, self._faces, self._plans
         return d
+
+    def _over(self, c: int) -> Optional[int]:
+        if not 0 <= c < len(self.crossings):  # -1 is no crossing either
+            raise DiagramError(f"no crossing {c}")
+        return self.crossings[c]
 
     def _with_over(self, c: int, over: Optional[int]) -> "FramedDiagram":
         new = list(self.crossings)
@@ -323,7 +331,7 @@ class FramedDiagram:
         return self._same_mate(tuple(new), self.free_loops)
 
     def switch_crossing(self, c: int) -> "FramedDiagram":
-        over = self.crossings[c]
+        over = self._over(c)
         if over is None:
             raise DiagramError("cannot switch a flat crossing")
         d = self._with_over(c, 1 - over)
@@ -333,17 +341,18 @@ class FramedDiagram:
 
     def resolve_flat(self, c: int, sign: int) -> "FramedDiagram":
         """Resolve a flat crossing; ``+1`` puts slots (0, 2) on top."""
-        if self.crossings[c] is not None:
+        if self._over(c) is not None:
             raise DiagramError(f"crossing {c} is already resolved")
         if sign not in (1, -1):
             raise DiagramError("resolution sign must be +1 or -1")
         return self._with_over(c, 0 if sign == 1 else 1)
 
     def make_flat(self, c: int) -> "FramedDiagram":
+        self._over(c)
         return self._with_over(c, None)
 
     def _smoothing_pairs(self, c: int, kind: str):
-        over = self.crossings[c]
+        over = self._over(c)
         if over is None:
             over = 0  # flat crossings use the positive-resolution picture
         if over == 0:
@@ -353,8 +362,6 @@ class FramedDiagram:
     def smooth(self, c: int, kind: str) -> "FramedDiagram":
         if kind not in ("A", "B"):
             raise DiagramError(f"unknown smoothing kind {kind!r}")
-        if not 0 <= c < self.n_crossings:
-            raise DiagramError(f"no crossing {c}")
         return self.remove_crossings({c: self._smoothing_pairs(c, kind)})
 
     def remove_crossings(self, pairings: dict[int, tuple[tuple[int, int], tuple[int, int]]]
@@ -456,9 +463,7 @@ class FramedDiagram:
     # -- equality / codes --------------------------------------------------
 
     def canonical_code(self) -> str:
-        if self._code is None:
-            self._code = _canonical_code(self)
-        return self._code
+        return _canonical_code(self)
 
     def __repr__(self) -> str:
         return (f"FramedDiagram({self.n_crossings} crossings, "

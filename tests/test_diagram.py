@@ -815,6 +815,22 @@ class TestMoves:
         with pytest.raises(DiagramError):
             d.resolve_flat(0, 1)  # not flat
 
+    @pytest.mark.parametrize("move", ["switch_crossing", "resolve_flat",
+                                      "make_flat", "smooth"])
+    def test_moves_on_one_crossing_check_its_range(self, move):
+        # -1 must not name the last crossing, and n must not be an
+        # IndexError
+        d = braid(TREFOIL)
+        flat = d.make_flat(0).make_flat(1).make_flat(2)
+        act = {"switch_crossing": lambda c: d.switch_crossing(c),
+               "resolve_flat": lambda c: flat.resolve_flat(c, 1),
+               "make_flat": lambda c: d.make_flat(c),
+               "smooth": lambda c: d.smooth(c, "A")}[move]
+        act(2)
+        for c in (-1, 3):
+            with pytest.raises(DiagramError, match=f"no crossing {c}"):
+                act(c)
+
 
 class TestBadCrossings:
     def test_trefoil_one_bad(self):

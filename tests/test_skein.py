@@ -765,6 +765,29 @@ class TestReplay:
             assert got == ([] if swap else [want])
             assert counts[0] == 0  # replayed, not walked
 
+    @pytest.mark.parametrize("move", ["add_kink", "disjoint_union"])
+    def test_built_roots_share_their_plans(self, monkeypatch, move):
+        # a root that no parser built shares its plans with its
+        # resolutions, so n = 1 replays what n = 0 walked
+        def build():
+            if move == "add_kink":
+                b = braid("s1 s2^-1 s1 s2^-1 s1 s2 s1^-1 s2 s1 s2^-1")
+                return b.add_kink(b.arcs[0], 1).make_flat(0).make_flat(3)
+            return braid("s1 s2^-1 s1 s2^-1").disjoint_union(
+                braid("s1 s1 s1")).make_flat(1).make_flat(5)
+        counts = self.counted_codes(monkeypatch)
+        sd = build()
+        for params in RINGS[1:]:
+            memo = MemoTable()
+            counts[0] = 0
+            got = derived_invariant(
+                lambda d: evaluate(d, params, memo=memo), sd).table
+            assert (counts[0] == 0) == (params.n == 1)
+        want = MemoTable()
+        fresh = derived_invariant(
+            lambda d: evaluate(d, RINGS[2], memo=want), build()).table
+        assert got == fresh and list(memo.items()) == list(want.items())
+
     def test_plan_leaves_no_reference_cycle(self):
         d = braid(C10_WORDS[0])
         gc.collect()
