@@ -81,8 +81,6 @@ def generate_corpus(seed: int = DEFAULT_SEED) -> list[CorpusEntry]:
         length = rng.randint(3, MAX_CROSSINGS)
         word = _random_braid_word(rng, width, length)
         d = parse_diagram(word, "braid")
-        if d.n_crossings > MAX_CROSSINGS:
-            continue
         code = d.canonical_code()
         if code in seen:
             continue

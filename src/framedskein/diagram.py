@@ -428,6 +428,8 @@ class FramedDiagram:
                                    tuple(mate), self.free_loops)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
+        if self.free_loops + k < 0:
+            raise DiagramError("negative free loop count")
         return self._same_mate(self.crossings, self.free_loops + k)
 
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
@@ -912,8 +914,6 @@ def _parse_gauss(text: str) -> FramedDiagram:
 
     arcs = []
     for toks in comp_tokens:
-        if not toks:
-            continue
         stubs = []
         for role, name, sign in toks:
             e_in, e_out = entry_exit(role, sign)

@@ -200,8 +200,6 @@ def _divide_by_z(num: dict[int, Fraction]) -> dict[int, Fraction]:
     while rem:
         top = max(rem)
         c = rem.pop(top)
-        if c == 0:
-            continue
         qd = top - 1
         if qd <= bottom:
             raise ArithmeticError("division by A - A^-1 is not exact")

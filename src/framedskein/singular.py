@@ -165,7 +165,7 @@ def is_admissible_in_diagram(sd: SingularDiagram, flat_point: int) -> str:
     Diagram-level detection is sound but incomplete: an embedded disc
     may exist without being a face of this particular diagram.
     """
-    if sd.crossings[flat_point] is not None:
+    if sd._over(flat_point) is not None:
         raise DiagramError(f"crossing {flat_point} is not flat")
     return "inadmissible" if _one_gon_at(sd, flat_point) else "undetermined"
 
@@ -206,7 +206,7 @@ def writhe_jump(sd: SingularDiagram, flat_point: int) -> tuple[int, ...]:
     """Per-component change of self-writhe between the two resolutions
     of one flat point (other flat points resolved identically on both
     sides, so they cancel)."""
-    if sd.crossings[flat_point] is not None:
+    if sd._over(flat_point) is not None:
         raise DiagramError(f"crossing {flat_point} is not flat")
     pos = sd.resolve_flat(flat_point, 1)
     neg = sd.resolve_flat(flat_point, -1)

@@ -84,6 +84,14 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("parse error") and err.count("\n") == 1
 
+    def test_non_planar_pd(self, capsys):
+        # a perfect matching whose Euler count fails
+        code, out, err = run(capsys, "eval", "--text",
+                             "X[1,1,2,2]\nX[3,4,3,4]")
+        assert code == EXIT_PARSE == 2 and out == ""
+        assert err.startswith("parse error: diagram is not planar")
+        assert err.count("\n") == 1
+
     def test_short_pd_line(self, capsys):
         code, out, err = run(capsys, "eval", "--text", "X")
         assert code == EXIT_PARSE and out == ""

@@ -119,6 +119,14 @@ class TestMalformedManifest:
             load_corpus(tmp_path)
         assert f"entry 0 has no int {key!r}" in str(info.value)
 
+    def test_pd_file_that_does_not_parse(self, tmp_path):
+        manifest = write_corpus(generate_corpus()[:2], tmp_path)
+        name = json.loads(manifest.read_text())[1]["file"]
+        (tmp_path / name).write_text("X[1,2\n")
+        with pytest.raises(ParseError) as info:
+            load_corpus(tmp_path)
+        assert str(info.value).startswith(f"{tmp_path / name}: ")
+
     def test_pd_file_not_utf8(self, tmp_path):
         manifest = write_corpus(generate_corpus()[:2], tmp_path)
         name = json.loads(manifest.read_text())[1]["file"]

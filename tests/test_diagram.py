@@ -20,6 +20,7 @@ from framedskein.diagram import (
     detect_reduction,
     parse_diagram,
     serialize_pd,
+    untwisted_bigon,
 )
 from framedskein.skein import default_params, evaluate
 
@@ -660,17 +661,26 @@ class TestRemoval:
         assert {len(p) for p in calls} == ({1} if family == "kinks" else {1, 2})
 
     def test_matches_reference_on_corpus_pokes(self, monkeypatch):
-        # every poke that passes the planarity and bigon checks is
-        # removed again; unequal flips are never planar
+        # every planar poke is the untwisted bigon of its two new
+        # crossings, and removing it gives the diagram back; unequal
+        # flips are never planar
         calls = checked_removals(monkeypatch)
         for e in default_corpus():
             d = e.diagram()
+            n = d.n_crossings
             for face in d.faces():
                 for e1 in face:
                     for e2 in face:
-                        if e2 not in (e1, d.mate[e1]):
-                            for flip in (False, True):
-                                perturb._try_poke(d, e1, e2, flip, flip)
+                        if e2 in (e1, d.mate[e1]):
+                            continue
+                        for flip in (False, True):
+                            p = perturb._try_poke(d, e1, e2, flip, flip)
+                            if p is None:
+                                continue
+                            move = untwisted_bigon(p, 4 * n)
+                            assert move == R2Pair(n, n + 1)
+                            back, _ = apply_reduction(p, move)
+                            assert stored(back) == stored(d)
         assert len(calls) > 1000
 
     @given(st.sampled_from(WORDS + MULTI + ["s1^7", "s1 s2 s1 s2 s1 s2"]),
@@ -830,6 +840,12 @@ class TestMoves:
         for c in (-1, 3):
             with pytest.raises(DiagramError, match=f"no crossing {c}"):
                 act(c)
+
+    def test_free_loops_never_go_negative(self):
+        d = braid(HOPF).add_free_loops(2)
+        assert d.add_free_loops(-2).free_loops == 0
+        with pytest.raises(DiagramError, match="negative free loop count"):
+            d.add_free_loops(-3)
 
 
 class TestBadCrossings:

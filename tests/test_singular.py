@@ -146,6 +146,13 @@ class TestAdmissibility:
         sd = braid("s1 s1 s1").make_flat(1)
         assert is_admissible_in_diagram(sd, 1) == "undetermined"
 
+    def test_point_out_of_range(self):
+        # -1 must not name the last crossing, and n must not be an
+        # IndexError
+        for point in (-1, 1):
+            with pytest.raises(DiagramError, match=f"no crossing {point}"):
+                is_admissible_in_diagram(flat_kink_unknot(), point)
+
 
 class TestWritheJump:
     def test_flat_kink_jump_is_two(self):
@@ -164,6 +171,11 @@ class TestWritheJump:
         sd, p1, p2 = figure_three_configuration(braid("s1 s1 s1"),
                                                 braid("s1 s1 s1").arcs[0])
         assert writhe_jump(sd, p1) == (2,)
+
+    def test_point_out_of_range(self):
+        for point in (-1, 1):
+            with pytest.raises(DiagramError, match=f"no crossing {point}"):
+                writhe_jump(flat_kink_unknot(), point)
 
 
 class TestTotalFraming:

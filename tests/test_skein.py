@@ -209,6 +209,25 @@ class TestNormalizations:
         assert not report.ok
         assert good != bad
 
+    def test_audit_refuses_an_alpha_that_is_no_unit(self):
+        # 2a is a unit over the rationals, so the public identity can be
+        # checked, but not in Z[a^±1, z^±1]
+        params = dataclasses.replace(default_params("laurent"),
+                                     alpha=LaurentPoly.term(2, 1, 0))
+        report = convention_audit(params)
+        assert report.failures[-1] == "alpha is not a unit of the integer ring"
+        with pytest.raises(AuditError, match="not a unit"):
+            evaluate(braid("s1"), params)
+
+    def test_audit_refuses_a_series_ring_without_n(self):
+        params = dataclasses.replace(default_params("series", n=1, order=4),
+                                     n=None)
+        report = convention_audit(params)
+        assert report.failures == ["no integer ring for the 'series' ring "
+                                   "with n = None"]
+        with pytest.raises(AuditError, match="no integer ring"):
+            evaluate(braid("s1"), params)
+
 
 class TestMachinery:
     def test_default_params_cached(self):
@@ -324,6 +343,11 @@ class TestMachinery:
         assert complexity_bound(parse_diagram("O", "pd")).as_tuple() == (0, 0)
         assert complexity_bound(braid("s1")).as_tuple() == (0, 1)
         assert complexity_bound(braid("s1 s1 s1")).as_tuple() == (1, 3)
+
+    def test_complexity_of_a_split_diagram_adds(self):
+        # the split's remainder is bounded too: (1, 3) + (1, 4)
+        split = braid("s1 s1 s1").disjoint_union(braid("s1 s2^-1 s1 s2^-1"))
+        assert complexity_bound(split).as_tuple() == (2, 7)
 
 
 class TestClosedForms:

@@ -1,0 +1,182 @@
+"""The top finite-type coefficient from the so(N) weight system.
+
+For a diagram with k flat points the x^k coefficient of its derived
+series invariant at n is 2^k * eps * W_N(G), with N = n + 2:
+
+- eps is the product of the crossing signs of the flat points once each
+  is resolved +1;
+- G is the chord diagram with one circle per strand and one empty circle
+  per free loop, and one chord per flat point between its two visits;
+- W_N(G) sums over the 2^k smoothings of the chords.  An oriented
+  smoothing joins the end arriving at one visit to the end leaving the
+  other; a twisted one joins the two arriving ends and the two leaving
+  ends.  Each state adds (-1)^(twisted chords) * N^(circles - 1).
+
+Why: z = t - t^-1 = 2x + O(x^3), so the k-fold difference is z^k times
+a signed sum of smoothings, and at x = 0 every c-component diagram is
+worth delta^(c - 1) with delta = n + 2.  W_N is the so(N) vector weight
+system (Bar-Natan, Topology 34 (1995)).
+
+The weight system below reads only ``strand_components``, ``resolve_flat``
+and ``crossing_sign``; the engine is run only for the value it is
+compared with.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from framedskein.corpus import default_corpus
+from framedskein.diagram import parse_diagram
+from framedskein.ring import GaussRational
+from framedskein.singular import (
+    derived_invariant,
+    flat_kink_unknot,
+    insert_flat_kink,
+)
+from framedskein.skein import evaluate_series
+
+
+def braid(word):
+    return parse_diagram(word, "braid")
+
+
+def chord_diagram(sd):
+    """The chords of ``sd`` as pairs of visit numbers, the arcs of its
+    circles as a map between visit ends (visit v arrives at end 2v and
+    leaves from 2v + 1), and the number of circles with no chord."""
+    flats = set(sd.flat_crossings())
+    visits = {}
+    along = {}
+    empty = sd.free_loops
+    count = 0
+    for walk in sd.strand_components():
+        ids = []
+        for h in walk:
+            if h >> 2 in flats:
+                visits.setdefault(h >> 2, []).append(count)
+                ids.append(count)
+                count += 1
+        if not ids:
+            empty += 1
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            along[2 * a + 1], along[2 * b] = 2 * b, 2 * a + 1
+    return list(visits.values()), along, empty
+
+
+def weight(sd, N):
+    """W_N of the chord diagram of ``sd``."""
+    chords, along, empty = chord_diagram(sd)
+    total = 0
+    for twisted in itertools.product((False, True), repeat=len(chords)):
+        joined = {}
+        for (p, q), tw in zip(chords, twisted):
+            pairs = (((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)) if tw else
+                     ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)))
+            for a, b in pairs:
+                joined[a], joined[b] = b, a
+        circles = empty
+        seen = set()
+        for end in along:
+            if end in seen:
+                continue
+            circles += 1
+            while end not in seen:
+                seen.add(end)
+                seen.add(along[end])
+                end = joined[along[end]]
+        total += (-1) ** sum(twisted) * N ** (circles - 1)
+    return total
+
+
+def sign_of_plus_resolution(sd):
+    """eps: the product of the flat points' signs, each resolved +1."""
+    resolved = sd
+    for c in sd.flat_crossings():
+        resolved = resolved.resolve_flat(c, 1)
+    eps = 1
+    for c in sd.flat_crossings():
+        eps *= resolved.crossing_sign(c)
+    return eps
+
+
+def predicted_top(sd, n):
+    k = len(sd.flat_crossings())
+    return 2 ** k * sign_of_plus_resolution(sd) * weight(sd, n + 2)
+
+
+def engine_top(sd, n):
+    k = len(sd.flat_crossings())
+    F = lambda d: evaluate_series(d, n, k)
+    return derived_invariant(F, sd).value.coeffs[k]
+
+
+def generated(seed, count, max_flat):
+    """Braid closures of 2-4 strands and 4-10 letters, with 1 to
+    ``max_flat`` flat points and sometimes a free loop."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        width = rng.randint(2, 4)
+        word = " ".join(f"s{rng.randint(1, width - 1)}{rng.choice(('', '^-1'))}"
+                        for _ in range(rng.randint(4, 10)))
+        d = braid(word).add_free_loops(rng.randrange(2))
+        k = rng.randint(1, min(max_flat, d.n_crossings))
+        for c in rng.sample(range(d.n_crossings), k):
+            d = d.make_flat(c)
+        out.append(d)
+    return out
+
+
+CASES = {
+    "trefoil-3-flat": braid("s1 s1 s1").make_flat(0).make_flat(1).make_flat(2),
+    "flat-kink": flat_kink_unknot(),
+    "hopf-clasp": braid("s1 s1").make_flat(0),
+    "generated": generated(7, 40, 5),
+    # kink chains and braids whose +1 resolutions are of either sign
+    "corpus": [e.diagram() for e in default_corpus() if e.n_flat],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_top_coefficient_matches_the_engine(name, n):
+    cases = CASES[name]
+    for sd in cases if isinstance(cases, list) else [cases]:
+        assert engine_top(sd, n) == GaussRational.of(predicted_top(sd, n)), \
+            sd.crossings
+
+
+def test_generated_cases_are_varied():
+    # several strands, free loops, 1-5 flat points, and zero and
+    # non-zero tops all occur
+    cases = CASES["generated"]
+    assert {len(sd.flat_crossings()) for sd in cases} == {1, 2, 3, 4, 5}
+    assert any(len(sd.strand_components()) > 1 for sd in cases)
+    assert any(sd.free_loops for sd in cases)
+    tops = [predicted_top(sd, 0) for sd in cases]
+    assert 0 in tops and any(tops)
+
+
+def test_corpus_cases_have_both_signs():
+    # eps = -1 must occur with a non-zero weight, or a dropped eps
+    # would go unseen
+    signs = {sign_of_plus_resolution(sd) for sd in CASES["corpus"]
+             if weight(sd, 2)}
+    assert signs == {1, -1}
+
+
+def test_flat_kink_top_is_two_n_plus_two():
+    # one circle, one isolated chord: N - 1 = n + 1, and the +1
+    # resolution is the positive kink
+    for n in range(4):
+        assert predicted_top(flat_kink_unknot(), n) == 2 * (n + 1)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_isolated_chord_gives_n_minus_one(N):
+    # a flat kink's two visits are adjacent on its strand
+    for sd in [flat_kink_unknot()] + CASES["generated"][:12]:
+        kinked, _ = insert_flat_kink(sd, sd.arcs[0])
+        assert weight(kinked, N) == (N - 1) * weight(sd, N)
