@@ -69,9 +69,8 @@ walk from the same start, which then counts as walked, and the other
 starts stop as soon as they exceed it.  Removing a bigon or smoothing a
 crossing can change where a strand end resumes, or split the diagram,
 so their results are coded from scratch.  A walk costs O(n); the 121
-codes of a 120-kink chain step through 9,035 walk positions (50,506
-when each diagram is coded afresh), and the closures ``s1^1`` to
-``s1^60`` through 611,194 (689,384).
+codes of a 120-kink chain step through 9,035 walk positions, and the
+closures ``s1^1`` to ``s1^60`` through 611,194.
 
 Reductions.  ``detect_reduction`` returns the first of: a free loop, a
 split into the piece of crossing 0 and the rest, a kink (1-gon face)
@@ -821,25 +820,23 @@ def _parse_pd(text: str) -> FramedDiagram:
     slot_labels: list[tuple[str, ...]] = []
     free_loops = 0
     pos = 0
-    for raw_line in text.splitlines():
+    for raw_line in text.splitlines(keepends=True):
+        start, pos = pos, pos + len(raw_line)
         line = raw_line.split("#", 1)[0].strip()
         if not line:
-            pos += len(raw_line) + 1
             continue
         if line == "O":
             free_loops += 1
-            pos += len(raw_line) + 1
             continue
         tag = line[0]
         if tag not in ("X", "F") or not (line[1:2] == "[" and line.endswith("]")):
-            raise ParseError(f"bad line {line!r}", pos)
+            raise ParseError(f"bad line {line!r}", start)
         body = line[2:-1]
         labels = tuple(p.strip() for p in body.split(","))
         if len(labels) != 4 or any(not p for p in labels):
-            raise ParseError(f"expected four labels in {line!r}", pos)
+            raise ParseError(f"expected four labels in {line!r}", start)
         crossings.append(None if tag == "F" else 1)
         slot_labels.append(labels)
-        pos += len(raw_line) + 1
 
     ends: dict[str, list[HalfEdge]] = {}
     for c, labels in enumerate(slot_labels):

@@ -18,7 +18,9 @@ lie in integer Laurent polynomials, so it works in the private
 :class:`LaurentPoly` once, and a series value is expanded once into a
 :class:`PowerSeries`.
 
-No floating point is used anywhere.
+Negative powers go through each ring's ``inverse()``, which decides what
+is a unit and raises :class:`NotAUnitError` for anything else.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ class OrderMismatchError(ValueError):
 
 
 def _power(base, k: int, one):
-    """``base ** k`` for ``k >= 0`` by square-and-multiply, starting from
-    the ring's ``one``; the square after the last bit is not taken."""
+    """``base ** k`` by square-and-multiply, starting from the ring's
+    ``one``; the square after the last bit is not taken.  A negative ``k``
+    powers ``base.inverse()``, so the ring's ``inverse`` decides what is a
+    unit."""
+    if k < 0:
+        base, k = base.inverse(), -k
     out = one
     while True:
         if k & 1:
@@ -96,8 +102,6 @@ class GaussRational:
         return self * other.inverse()
 
     def __pow__(self, k: int) -> "GaussRational":
-        if k < 0:
-            return self.inverse() ** (-k)
         return _power(self, k, ONE)
 
     def is_zero(self) -> bool:
@@ -123,6 +127,35 @@ def _coerce(value) -> GaussRational:
     return GaussRational.of(Fraction(value))
 
 
+def _nonzero(terms: Mapping) -> dict:
+    """The sparse terms of ``terms``: each coefficient coerced to a
+    :class:`GaussRational`, and the zero ones dropped."""
+    out = {}
+    for e, c in terms.items():
+        c = _coerce(c)
+        if not c.is_zero():
+            out[e] = c
+    return out
+
+
+def _add_terms(p: Mapping, q: Mapping) -> dict:
+    """Sum of two sparse term maps; the constructors drop zero sums."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, ZERO) + c
+    return out
+
+
+def _mul_terms(p: Mapping, q: Mapping) -> dict:
+    """Product of two sparse term maps; the constructors drop zero sums."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            e = (a1 + a2, b1 + b2)
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Sparse Laurent polynomials in a, z
 
@@ -137,13 +170,7 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], GaussRational] | None = None):
-        clean: dict[tuple[int, int], GaussRational] = {}
-        if terms:
-            for exp, c in terms.items():
-                c = _coerce(c)
-                if not c.is_zero():
-                    clean[exp] = c
-        self.terms = clean
+        self.terms = _nonzero(terms or {})
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -166,14 +193,7 @@ class LaurentPoly:
         return LaurentPoly.term(1, 0, power)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return LaurentPoly(out)
+        return LaurentPoly(_add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self.terms.items()})
@@ -182,16 +202,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[tuple[int, int], GaussRational] = {}
-        for (a1, z1), c1 in self.terms.items():
-            for (a2, z2), c2 in other.terms.items():
-                exp = (a1 + a2, z1 + z2)
-                s = out.get(exp, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return LaurentPoly(out)
+        return LaurentPoly(_mul_terms(self.terms, other.terms))
 
     def scale(self, c) -> "LaurentPoly":
         c = _coerce(c)
@@ -211,8 +222,6 @@ class LaurentPoly:
         return LaurentPoly({(-da, -dz): c.inverse()})
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            return self.inverse() ** (-k)
         return _power(self, k, LaurentPoly.one())
 
     def __eq__(self, other) -> bool:
@@ -297,10 +306,7 @@ class PowerSeries:
         return PowerSeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self + (-other)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
@@ -333,8 +339,6 @@ class PowerSeries:
         return PowerSeries(n, inv)
 
     def __pow__(self, k: int) -> "PowerSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
         return _power(self, k, PowerSeries.one(self.order))
 
     def __eq__(self, other) -> bool:
@@ -390,16 +394,9 @@ class BiSeries:
     def __init__(self, order: int, coeffs: Mapping[tuple[int, int], GaussRational] | None = None):
         if order < 0:
             raise ValueError("order must be non-negative")
-        clean: dict[tuple[int, int], GaussRational] = {}
-        if coeffs:
-            for (j, k), c in coeffs.items():
-                if j + k > order:
-                    continue
-                c = _coerce(c)
-                if not c.is_zero():
-                    clean[(j, k)] = c
         self.order = order
-        self.coeffs = clean
+        self.coeffs = _nonzero({(j, k): c for (j, k), c in (coeffs or {}).items()
+                                if j + k <= order})
 
     @staticmethod
     def constant(c, order: int) -> "BiSeries":
@@ -420,14 +417,7 @@ class BiSeries:
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return BiSeries(self.order, out)
+        return BiSeries(self.order, _add_terms(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "BiSeries":
         return BiSeries(self.order, {e: -c for e, c in self.coeffs.items()})
@@ -437,19 +427,7 @@ class BiSeries:
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
-        out: dict[tuple[int, int], GaussRational] = {}
-        for (j1, k1), c1 in self.coeffs.items():
-            for (j2, k2), c2 in other.coeffs.items():
-                j, k = j1 + j2, k1 + k2
-                if j + k > self.order:
-                    continue
-                e = (j, k)
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return BiSeries(self.order, out)
+        return BiSeries(self.order, _mul_terms(self.coeffs, other.coeffs))
 
     def inverse(self) -> "BiSeries":
         c0 = self.coeff(0, 0)
@@ -467,8 +445,6 @@ class BiSeries:
         return BiSeries(self.order, {e: c * c0inv for e, c in acc.coeffs.items()})
 
     def __pow__(self, k: int) -> "BiSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
         return _power(self, k, BiSeries.one(self.order))
 
     def __eq__(self, other) -> bool:
@@ -592,15 +568,16 @@ class _IntPoly(dict):
             del out[e]
         return out
 
-    def __pow__(self, k: int) -> "_IntPoly":
-        if k >= 0:
-            return _power(self, k, _IntPoly.one())
+    def inverse(self) -> "_IntPoly":
         # Only the monomials with coefficient +-1 are units.
         if len(self) != 1 or abs(next(iter(self.values()))) != 1:
             raise NotAUnitError("only monomials with coefficient ±1 are "
                                 "invertible integer polynomials")
         ((e, c),) = self.items()
-        return _power(_IntPoly({-e: c}), -k, _IntPoly.one())
+        return _IntPoly({-e: c})
+
+    def __pow__(self, k: int) -> "_IntPoly":
+        return _power(self, k, _IntPoly.one())
 
     @staticmethod
     def of_laurent(p: LaurentPoly) -> "_IntPoly":

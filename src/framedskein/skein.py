@@ -161,6 +161,8 @@ def default_params(ring: str = "laurent", n: int = 0, order: int = 8,
     """The preset parameter set of a ring.  Presets are cached, so equal
     calls return the same object; ``SkeinParams`` is frozen, and callers
     that need other fields use ``dataclasses.replace``."""
+    if normalization not in ("unit", "delta", "prop42"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     if ring == "laurent":
         a = LaurentPoly.var_a()
         z = LaurentPoly.var_z()

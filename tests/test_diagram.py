@@ -904,6 +904,15 @@ class TestParsing:
         assert info.value.pos == 2
         assert str(info.value).count("position") == 1
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad", ["X[oops", "X[1,2,3]"])
+    def test_parse_error_position_on_any_line_ending(self, eol, bad):
+        # a line ending of two characters once counted as one
+        text = eol.join(["X[1,2,3,4]", "", "O  # a loop", bad, ""])
+        with pytest.raises(ParseError) as info:
+            parse_diagram(text, "pd")
+        assert info.value.pos == text.index(bad)
+
     def test_wide_idle_braid_closure_is_small(self):
         # only the two strands of the letter get entries; the rest are
         # counted as free loops

@@ -247,3 +247,52 @@ class TestBaseConstants:
         one = BiSeries.one(6)
         assert z * z ** -1 == one
         assert a * a ** -1 == one
+
+
+# Per ring: its one, a unit, and non-units.  No unit is a root of one,
+# so a power that skips or repeats a factor shows.
+POWER_RINGS = {
+    "GaussRational": (ONE, GaussRational.of(Fraction(2, 3), -1), [ZERO]),
+    "LaurentPoly": (
+        LaurentPoly.one(), LaurentPoly.term(GaussRational.of(1, 2), 2, -1),
+        [LaurentPoly.zero(), LaurentPoly.var_a() + LaurentPoly.var_z(-1)]),
+    "PowerSeries": (
+        PowerSeries.one(6), series_exp(-2, 6).scale(3) + PowerSeries.x(6).scale(I),
+        [PowerSeries.x(6), PowerSeries(6, [])]),
+    "BiSeries": (
+        BiSeries.one(4), base_constants(4)["z"] + BiSeries(4, {(1, 1): 3}),
+        [BiSeries(4, {(1, 0): 1, (0, 1): 2}), BiSeries(4)]),
+    "_IntPoly": (
+        _IntPoly.one(), _IntPoly({(3 << 32) - 2: -1}),
+        [_IntPoly(), _IntPoly({0: 2}), _IntPoly({0: 1, 1: 1})]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(POWER_RINGS))
+class TestOnePowerLaw:
+    """Every ring's ``**`` is the one ``_power``; its negative powers go
+    through the ring's own ``inverse``."""
+
+    def test_zeroth_power_is_one(self, ring):
+        one, unit, non_units = POWER_RINGS[ring]
+        for x in [one, unit] + non_units:
+            assert x ** 0 == one
+
+    def test_powers_multiply_up(self, ring):
+        one, unit, non_units = POWER_RINGS[ring]
+        for x in [unit] + non_units:
+            for k in range(1, 5):
+                assert x ** k == x * x ** (k - 1)
+
+    def test_negative_powers_of_a_unit(self, ring):
+        one, unit, _ = POWER_RINGS[ring]
+        assert unit ** -1 == unit.inverse()
+        for k in range(1, 5):
+            assert unit ** -k * unit ** k == one
+            assert unit ** -k == unit.inverse() ** k
+
+    def test_non_units_have_no_negative_power(self, ring):
+        _, _, non_units = POWER_RINGS[ring]
+        for x in non_units:
+            with pytest.raises(NotAUnitError):
+                x ** -1

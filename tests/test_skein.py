@@ -142,6 +142,13 @@ class TestNormalizations:
         got = evaluate(parse_diagram("O", "pd"), params)
         assert got == params.delta
 
+    @pytest.mark.parametrize("ring", ["laurent", "series"])
+    @pytest.mark.parametrize("name", ["Delta", "bogus", ""])
+    def test_unknown_normalization_is_refused(self, ring, name):
+        # a misspelt name once gave the unit preset tagged with it
+        with pytest.raises(ValueError, match=f"unknown normalization {name!r}"):
+            default_params(ring, normalization=name)
+
     def test_prop42_preset_fails_audit(self):
         params = default_params("laurent", normalization="prop42")
         report = convention_audit(params)
