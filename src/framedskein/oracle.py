@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import DiagramError, FramedDiagram
-from .ring import GaussRational, LaurentPoly, PowerSeries
+from .ring import ONE, ZERO, GaussRational, LaurentPoly, PowerSeries
 from .skein import evaluate_laurent
 
 MAX_STATESUM_CROSSINGS = 20
@@ -110,15 +110,20 @@ def bracket_statesum(d: FramedDiagram) -> BracketPoly:
         return _DELTA ** (d.free_loops - 1)
 
     mate = d.mate
-    total = BracketPoly()
+    # the stub pairs that each crossing's A (bit 0) or B (bit 1) smoothing
+    # joins, and the number of states of each (#A - #B, loops)
+    smoothings = [[[(4 * c + s1, 4 * c + s2)
+                    for s1, s2 in d._smoothing_pairs(c, kind)]
+                   for kind in "AB"] for c in range(n)]
+    states: dict[tuple[int, int], int] = {}
     for state in range(1 << n):
         joined = [0] * (4 * n)  # stub -> the stub its smoothing joins it to
-        exponent = 0
+        exponent = n
         for c in range(n):
-            kind = "A" if (state >> c) & 1 == 0 else "B"
-            exponent += 1 if kind == "A" else -1
-            for s1, s2 in d._smoothing_pairs(c, kind):
-                joined[4 * c + s1], joined[4 * c + s2] = 4 * c + s2, 4 * c + s1
+            bit = (state >> c) & 1
+            exponent -= 2 * bit
+            for h1, h2 in smoothings[c][bit]:
+                joined[h1], joined[h2] = h2, h1
         loops = d.free_loops
         seen = [False] * (4 * n)
         for h in range(4 * n):
@@ -129,7 +134,11 @@ def bracket_statesum(d: FramedDiagram) -> BracketPoly:
                 m = mate[h]
                 seen[h] = seen[m] = True
                 h = joined[m]
-        total = total + BracketPoly.monomial(exponent) * _DELTA ** (loops - 1)
+        states[exponent, loops] = states.get((exponent, loops), 0) + 1
+    total = BracketPoly()
+    for (exponent, loops), count in states.items():
+        total = total + BracketPoly.monomial(exponent, count) \
+            * _DELTA ** (loops - 1)
     return total
 
 
@@ -209,6 +218,48 @@ def _divide_by_z(num: dict[int, Fraction]) -> dict[int, Fraction]:
         if rem[low] == 0:
             del rem[low]
     return {d: c for d, c in quot.items() if c}
+
+
+def parity_check(p: LaurentPoly, d: FramedDiagram) -> bool:
+    """Every term ``a^i z^j`` of ``d``'s value has ``i + j`` of the parity
+    of ``d``'s crossing count.
+
+    The skein relation keeps this, because ``z * D_A`` has one crossing
+    fewer; so do a kink's factor ``a^±1`` and the loop value
+    ``1 + (a - a^-1)/z``, whose terms are all even."""
+    c = d.n_crossings
+    return all((i + j - c) % 2 == 0 for i, j in p.terms)
+
+
+def so1_check(p: LaurentPoly) -> bool:
+    """At ``a = 1`` a unit-normalised value is 1 for every ``z``: the sum
+    of the coefficients of each ``z^j`` is 1 for ``j = 0`` and 0 else.
+
+    At ``a = 1`` the kink factor and the loop value are 1, and the
+    constant 1 satisfies the skein relation (the SO(1) specialisation)."""
+    sums: dict[int, GaussRational] = {}
+    for (_, j), c in p.terms.items():
+        sums[j] = sums.get(j, ZERO) + c
+    return {j: c for j, c in sums.items() if not c.is_zero()} == {0: ONE}
+
+
+def so4_check(p: LaurentPoly, bracket: BracketPoly) -> bool:
+    """A unit-normalised value at ``a = B^3, z = B - B^-1`` is the square
+    of the diagram's bracket ``bracket`` in ``B = A^2``.
+
+    The squared bracket satisfies ``<L+>^2 - <L->^2 = (A^2 - A^-2)
+    (<L0>^2 - <Loo>^2)``, with kink factor ``(-A^3)^2 = B^3`` and loop
+    value ``(A^2 + A^-2)^2 = 1 + (B^3 - B^-3)/(B - B^-1)``: so(4) is
+    sl2 + sl2 (Turaev, Invent. Math. 92, 1988).  A value with a z-pole
+    that does not cancel, or with a non-real coefficient, fails."""
+    square = (bracket * bracket).terms
+    if any(deg % 2 for deg in square):
+        return False
+    try:
+        value = _specialize(p, 3, 1)
+    except ArithmeticError:
+        return False
+    return value == {deg // 2: c for deg, c in square.items()}
 
 
 def specialization_check(d: FramedDiagram) -> bool:

@@ -24,8 +24,27 @@ A flipped site builds the same diagram as the unflipped site
 ``(mate[e1], mate[e2])`` of the face on the other side.  These
 duplicates stay in the list: ``random_perturbation`` draws among the
 sites, and dropping them would change the map from seed to diagram.
-``random_perturbation`` lists the sites and builds only the poke it
-draws, so each step builds one diagram instead of every candidate.
+
+An R3 slide moves one side of a triangle face across the opposite
+corner.  A triangle slides when its three corners are distinct and
+resolved (a flat corner has no strand on top) and one side's strand is
+on top at both of its corners, or under at both.  Planarity needs no
+check.  Let the face run ``e0, e1, e2``, let ``m_i = mate[e_i]``, and let
+``X_i`` and ``Y_i`` be the outer arcs at ``m_i ^ 2`` and ``e_i ^ 2``.
+Before the slide, the face that enters the corners by ``X_i`` leaves by
+``Y_(i+1)``, and the one that enters by ``Y_i`` leaves by ``X_(i+1)``.
+After it, ``X_i`` ends at ``e_i`` and ``Y_i`` at ``m_i``, and tracing the
+turns shows the same entries and exits, while the joined outer stubs
+``e_i ^ 2`` and ``m_i ^ 2`` bound a new triangle.  So every other face
+runs through the corners between the same arcs as before, the face
+count is unchanged, the three corners stay in one piece, and the Euler
+count still holds.  ``TestR3::test_every_listed_slide_is_planar`` checks
+this on the corpus and its perturbations.
+
+``_moves`` lists the R2 removals (as ``R2Pair`` moves) and the R3 slides
+(as triangle faces) without building either.  ``random_perturbation``
+lists the poke sites, the removals and the slides, and builds only the
+move it draws, so each step builds one diagram.
 """
 
 from __future__ import annotations
@@ -33,7 +52,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .diagram import FramedDiagram, apply_reduction, untwisted_bigon
+from .diagram import FramedDiagram, R2Pair, apply_reduction, untwisted_bigon
 
 PokeSite = tuple[int, int, bool]
 
@@ -106,47 +125,54 @@ def _try_poke(d: FramedDiagram, e1: int, e2: int,
     return cand if cand._is_planar() else None
 
 
+def _moves(d: FramedDiagram) -> tuple[list[R2Pair], list[list[int]]]:
+    """The R2 removals and the R3 slides of ``d``, building neither: the
+    untwisted bigons, each once, and the triangle faces that can slide
+    (see the module docstring), both in ``faces()`` order."""
+    mate, crossings = d.mate, d.crossings
+    removals: list[R2Pair] = []
+    slides: list[list[int]] = []
+    for face in d.faces():
+        if len(face) == 2:
+            move = untwisted_bigon(d, face[0])
+            if move is not None and move not in removals:
+                removals.append(move)
+        elif len(face) == 3:
+            if len({h >> 2 for h in face}) != 3:
+                continue
+            if any(crossings[h >> 2] is None for h in face):
+                continue  # a flat corner has no strand on top
+            # A strand can slide when its side h -> mate[h] is on top at
+            # both of its corners, or at neither.
+            if any(((h & 1) == crossings[h >> 2])
+                   == ((mate[h] & 1) == crossings[mate[h] >> 2])
+                   for h in face):
+                slides.append(face)
+    return removals, slides
+
+
 def r2_removals(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All untwisted-bigon removals (independent of reduction priority)."""
-    seen = set()
-    for face in d.faces():
-        move = untwisted_bigon(d, face[0]) if len(face) == 2 else None
-        if move is None or move in seen:
-            continue
-        seen.add(move)
-        reduced, _ = apply_reduction(d, move)
-        yield reduced
+    for move in _moves(d)[0]:
+        yield apply_reduction(d, move)[0]
 
 
 def r3_moves(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All triangle slides across a strand that is on top (or bottom) of
     the other two at its corners."""
-    for face in d.faces():
-        if len(face) != 3:
-            continue
-        crossings = [d.mate[h] >> 2 for h in face]
-        if len(set(crossings)) != 3:
-            continue
-        if any(d.crossings[c] is None for c in crossings):
-            continue
-        out = _try_r3(d, face)
-        if out is not None:
-            yield out
+    for face in _moves(d)[1]:
+        yield _slide(d, face)
 
 
-def _try_r3(d: FramedDiagram, face: list[int]) -> FramedDiagram | None:
+def _slide(d: FramedDiagram, face: list[int]) -> FramedDiagram:
+    """The R3 slide across the triangle ``face``, planar by the module
+    docstring's proof."""
     # Each side h -> mate[h] of the triangle is one strand; it goes on
     # outside the triangle at the opposite stubs h ^ 2 and mate[h] ^ 2.
-    mate = d.mate
-
-    def on_top(h: int) -> bool:
-        return (h & 1) == d.crossings[h >> 2]
-
-    if all(on_top(h) != on_top(mate[h]) for h in face):
-        return None
     # Slide the strand across: each outer arc moves from its end at one
     # corner to the triangle stub at the other corner, and the two outer
     # stubs of a side are joined to each other.
+    mate = d.mate
     inner = {h for e in face for h in (e, mate[e])}
     moved = {}
     for e in face:
@@ -159,8 +185,7 @@ def _try_r3(d: FramedDiagram, face: list[int]) -> FramedDiagram | None:
     for e in face:
         p, q = e ^ 2, mate[e] ^ 2
         new[p], new[q] = q, p
-    cand = FramedDiagram._make(d.crossings, tuple(new), d.free_loops)
-    return cand if cand._is_planar() else None
+    return FramedDiagram._make(d.crossings, tuple(new), d.free_loops)
 
 
 def random_perturbation(d: FramedDiagram, rng: random.Random,
@@ -168,17 +193,22 @@ def random_perturbation(d: FramedDiagram, rng: random.Random,
     """Apply a few random R2/R3 moves; returns a regular-isotopic diagram.
 
     Each step draws uniformly among the poke sites (when the crossing cap
-    allows two more crossings), the R2 removals and the R3 moves, in that
-    order, and builds only the poke it draws."""
+    allows two more crossings), the R2 removals and the R3 slides, in
+    that order, and builds only the move it draws."""
     cur = d
     for _ in range(steps):
         sites = _poke_sites(cur) if cur.n_crossings + 2 <= max_crossings \
             else []
-        others = list(r2_removals(cur))
-        others.extend(r3_moves(cur))
-        if not sites and not others:
+        removals, slides = _moves(cur)
+        n_sites, n_removals = len(sites), len(removals)
+        total = n_sites + n_removals + len(slides)
+        if not total:
             break
-        i = rng.randrange(len(sites) + len(others))
-        cur = _poke(cur, sites[i]) if i < len(sites) else \
-            others[i - len(sites)]
+        i = rng.randrange(total)
+        if i < n_sites:
+            cur = _poke(cur, sites[i])
+        elif i < n_sites + n_removals:
+            cur = apply_reduction(cur, removals[i - n_sites])[0]
+        else:
+            cur = _slide(cur, slides[i - n_sites - n_removals])
     return cur

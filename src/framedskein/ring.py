@@ -75,19 +75,19 @@ class GaussRational:
 
     @staticmethod
     def of(re: int | Fraction, im: int | Fraction = 0) -> "GaussRational":
-        return GaussRational(Fraction(re), Fraction(im))
+        return _gauss(Fraction(re), Fraction(im))
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return _gauss(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
+        return _gauss(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -96,7 +96,7 @@ class GaussRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise NotAUnitError("division by zero Gaussian rational")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gauss(self.re / n, -self.im / n)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
@@ -114,6 +114,18 @@ class GaussRational:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+_F0 = Fraction(0)
+
+
+def _gauss(re: Fraction, im: Fraction) -> GaussRational:
+    """``GaussRational(re, im)`` for two ``Fraction`` parts, which it
+    trusts: the dataclass's ``__init__`` and ``__post_init__`` are skipped."""
+    g = object.__new__(GaussRational)
+    fields = g.__dict__
+    fields["re"], fields["im"] = re, im
+    return g
 
 
 ZERO = GaussRational.of(0)
@@ -146,11 +158,15 @@ def _add_terms(p: Mapping, q: Mapping) -> dict:
     return out
 
 
-def _mul_terms(p: Mapping, q: Mapping) -> dict:
-    """Product of two sparse term maps; the constructors drop zero sums."""
+def _mul_terms(p: Mapping, q: Mapping, order: int | None = None) -> dict:
+    """Product of two sparse term maps; the constructors drop zero sums.
+    With an ``order``, no product of total degree above it is formed."""
     out = {}
     for (a1, b1), c1 in p.items():
+        room = None if order is None else order - a1 - b1
         for (a2, b2), c2 in q.items():
+            if room is not None and a2 + b2 > room:
+                continue
             e = (a1 + a2, b1 + b2)
             out[e] = out.get(e, ZERO) + c1 * c2
     return out
@@ -427,7 +443,8 @@ class BiSeries:
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
-        return BiSeries(self.order, _mul_terms(self.coeffs, other.coeffs))
+        return BiSeries(self.order,
+                        _mul_terms(self.coeffs, other.coeffs, self.order))
 
     def inverse(self) -> "BiSeries":
         c0 = self.coeff(0, 0)
@@ -568,6 +585,23 @@ class _IntPoly(dict):
             del out[e]
         return out
 
+    def skein_step(self, z: "_IntPoly", a: "_IntPoly",
+                   b: "_IntPoly") -> "_IntPoly":
+        """``self + z * (a - b)``, the value at a branch point from those
+        of its switched, A and B children, built in one dict."""
+        out = _IntPoly(self)
+        get = out.get
+        for ez, cz in z.items():
+            for e, c in a.items():
+                e += ez
+                out[e] = get(e, 0) + cz * c
+            for e, c in b.items():
+                e += ez
+                out[e] = get(e, 0) - cz * c
+        for e in [e for e, c in out.items() if not c]:
+            del out[e]
+        return out
+
     def inverse(self) -> "_IntPoly":
         # Only the monomials with coefficient +-1 are units.
         if len(self) != 1 or abs(next(iter(self.values()))) != 1:
@@ -598,7 +632,7 @@ class _IntPoly(dict):
     def to_laurent(self) -> LaurentPoly:
         out = LaurentPoly()
         for key in sorted(self):
-            out.terms[_unpack(key)] = GaussRational.of(self[key])
+            out.terms[_unpack(key)] = _gauss(Fraction(self[key]), _F0)
         return out
 
     def t_series(self, order: int) -> PowerSeries:
@@ -612,7 +646,7 @@ class _IntPoly(dict):
             if m:
                 fact *= m
                 terms = [c * j for c, j in zip(terms, js)]
-            coeffs.append(GaussRational.of(Fraction(sum(terms), fact)))
+            coeffs.append(_gauss(Fraction(sum(terms), fact), _F0))
         return PowerSeries(order, coeffs)
 
     @staticmethod

@@ -18,6 +18,8 @@ from .skein import DEFAULT_NODE_BUDGET, evaluate_series
 
 Evaluator = Callable[[FramedDiagram], object]
 SignPattern = tuple[int, ...]
+# chords as pairs of visits, arcs between visit ends, empty circles
+ChordDiagram = tuple[list[list[int]], dict[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,98 @@ def one_term_relation_check(F: Evaluator, sd: SingularDiagram) -> bool:
         if derived_invariant(F, left).value != derived_invariant(F, right).value:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The so(N) weight system: the top finite-type coefficient
+
+
+# the factor of a twisted smoothing in :func:`chord_weight`
+_TWIST = -1
+
+
+def chord_diagram(sd: FramedDiagram) -> ChordDiagram:
+    """The chord diagram of ``sd``: a circle per strand, met at each of
+    its flat points, and an empty circle per free loop, in the form
+    :func:`chords_of_circles` returns."""
+    flats = set(sd.flat_crossings())
+    circles = [[h >> 2 for h in walk if h >> 2 in flats]
+               for walk in sd.strand_components()]
+    return chords_of_circles(circles + [[]] * sd.free_loops)
+
+
+def chords_of_circles(circles: Sequence[Sequence]) -> ChordDiagram:
+    """A chord diagram from the chord labels met along each circle: the
+    chords as pairs of visit numbers, the arcs of the circles as a map
+    between visit ends (visit v arrives at end 2v and leaves from
+    2v + 1), and the number of circles with no chord."""
+    visits: dict = {}
+    along: dict[int, int] = {}
+    empty = 0
+    count = 0
+    for labels in circles:
+        ids = list(range(count, count + len(labels)))
+        count += len(labels)
+        for lab, v in zip(labels, ids):
+            visits.setdefault(lab, []).append(v)
+        if not ids:
+            empty += 1
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            along[2 * a + 1], along[2 * b] = 2 * b, 2 * a + 1
+    return list(visits.values()), along, empty
+
+
+def chord_weight(chords: list[list[int]], along: dict[int, int], empty: int,
+                 N: int) -> int:
+    """``W_N``, the so(N) vector weight system, of a chord diagram in the
+    form :func:`chords_of_circles` returns: the sum over the smoothings
+    of the chords of ``(-1)^(twisted chords) * N^(circles - 1)``.  An
+    oriented smoothing joins the end arriving at one visit to the end
+    leaving the other; a twisted one joins the two arriving ends and the
+    two leaving ends (Bar-Natan, Topology 34 (1995))."""
+    total = 0
+    for twisted in itertools.product((False, True), repeat=len(chords)):
+        joined = {}
+        for (p, q), tw in zip(chords, twisted):
+            pairs = (((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)) if tw else
+                     ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)))
+            for a, b in pairs:
+                joined[a], joined[b] = b, a
+        circles = empty
+        seen = set()
+        for end in along:
+            if end in seen:
+                continue
+            circles += 1
+            while end not in seen:
+                seen.add(end)
+                seen.add(along[end])
+                end = joined[along[end]]
+        total += _TWIST ** sum(twisted) * N ** (circles - 1)
+    return total
+
+
+def plus_resolution_sign(sd: SingularDiagram) -> int:
+    """The product of the flat points' crossing signs, each resolved +1."""
+    flats = sd.flat_crossings()
+    resolved = resolve_all(sd, [1] * len(flats))
+    eps = 1
+    for c in flats:
+        eps *= resolved.crossing_sign(c)
+    return eps
+
+
+def son_weight_system(sd: SingularDiagram, N: int) -> int:
+    """``eps * W_N(G)``: the so(N) weight system of ``sd``'s chord diagram
+    ``G`` times the sign :func:`plus_resolution_sign`.  It calls no
+    evaluator.
+
+    For k flat points the x^k coefficient of the derived series invariant
+    at ``n = N - 2`` is ``2^k`` times this: ``z = t - t^-1 = 2x + O(x^3)``,
+    so the k-fold difference is ``z^k`` times a signed sum of smoothings,
+    and at ``x = 0`` a diagram of c components is worth ``delta^(c - 1)``
+    with ``delta = n + 2``."""
+    return plus_resolution_sign(sd) * chord_weight(*chord_diagram(sd), N)
 
 
 # ---------------------------------------------------------------------------

@@ -522,7 +522,7 @@ def _fold(visits: list[str], ops: array, memo: MemoTable, eng: _Engine,
             code, tag, _ = pending.pop()
             if tag == _BRANCH:
                 a = vals.pop()
-                val = vals.pop() + z * (a - val)
+                val = vals.pop().skein_step(z, a, val)
             elif tag == _DELTA:
                 val = delta * val
             elif tag == _KINK_POS:

@@ -807,6 +807,21 @@ class TestMoves:
         for kind in ("A", "B"):
             assert d.smooth(0, kind).n_crossings == 2
 
+    def test_a_flat_crossing_smooths_as_its_plus_resolution(self):
+        # Its A-smoothing is the +1 resolution's A-smoothing, which is the
+        # -1 resolution's B-smoothing, and not the +1 resolution's B.
+        def form(x):
+            return x.crossings, x.mate, x.free_loops
+        d = braid(TREFOIL)
+        for c in range(3):
+            flat = d.make_flat(c)
+            plus, minus = flat.resolve_flat(c, 1), flat.resolve_flat(c, -1)
+            for kind, other in (("A", "B"), ("B", "A")):
+                got = form(flat.smooth(c, kind))
+                assert got == form(plus.smooth(c, kind))
+                assert got == form(minus.smooth(c, other))
+                assert got != form(plus.smooth(c, other))
+
     def test_kink_addition_signs(self):
         base = braid(HOPF)
         arc = base.arcs[0]

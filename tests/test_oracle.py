@@ -2,19 +2,30 @@ import json
 import random
 import zlib
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_skein import C10_WORDS
 
 from framedskein import skein
 from framedskein.corpus import default_corpus
-from framedskein.diagram import DiagramError, FramedDiagram, parse_diagram
+from framedskein.diagram import (
+    DiagramError,
+    FramedDiagram,
+    parse_diagram,
+    serialize_pd,
+)
 from framedskein.oracle import (
     BracketPoly,
     _divide_by_z,
     bracket_statesum,
     laurent_to_series,
+    parity_check,
+    so1_check,
+    so4_check,
     specialization_check,
     specialize_to_bracket,
 )
@@ -197,3 +208,103 @@ class TestCodeCollisions:
             brackets.setdefault(code(d), set()).add(bracket_statesum(d))
         assert len(brackets) > 50
         assert all(len(b) == 1 for b in brackets.values())
+
+
+# The benchmark's braid catalogue, as the state-sum brackets of its words
+# (perfbench/make_goldens.py): 3- and 4-braids of 12-18 crossings, whose
+# state sums are too slow to run here.
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "braid_goldens.json"
+
+
+@cache
+def check_cases(source):
+    """``(diagram, bracket)`` pairs of one source of diagrams."""
+    resolved = [e.diagram() for e in default_corpus() if not e.n_flat]
+    if source == "corpus":
+        return [(d, bracket_statesum(d)) for d in resolved]
+    if source == "perturbations":
+        rng = random.Random(5)
+        out = []
+        for seed in range(320):
+            d = random_perturbation(resolved[seed % len(resolved)],
+                                    random.Random(seed),
+                                    steps=rng.randint(1, 4), max_crossings=11)
+            out.append((d, bracket_statesum(d)))
+        return out
+    if source == "criterion-10":
+        return [(braid(w), bracket_statesum(braid(w))) for w in C10_WORDS]
+    goldens = json.loads(GOLDENS.read_text())
+    return [(braid(word), BracketPoly({int(deg): c
+                                       for deg, c in terms.items()}))
+            for word, terms in goldens.items() if len(word.split()) <= 20]
+
+
+class TestEngineFreeChecks:
+    """Parity, SO(1) and SO(4) read a value and, for SO(4), the state-sum
+    bracket; none of them runs the engine."""
+
+    @pytest.mark.parametrize("source", ["corpus", "perturbations",
+                                        "criterion-10", "catalogue"])
+    def test_hold_on_engine_values(self, source):
+        cases = check_cases(source)
+        for d, bracket in cases:
+            p = evaluate_laurent(d)
+            assert parity_check(p, d), serialize_pd(d)
+            assert so1_check(p), serialize_pd(d)
+            assert so4_check(p, bracket), serialize_pd(d)
+            assert specialize_to_bracket(p) == bracket, serialize_pd(d)
+
+    def test_checks_call_no_engine(self, monkeypatch):
+        cases = [(d, bracket, evaluate_laurent(d))
+                 for d, bracket in check_cases("corpus")]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a check ran the engine")
+        monkeypatch.setattr(skein, "_evaluate_unchecked", boom)
+        for name in ("__add__", "__sub__", "__mul__", "to_laurent"):
+            monkeypatch.setattr(_IntPoly, name, boom)
+        for d, bracket, p in cases:
+            assert parity_check(p, d) and so1_check(p) \
+                and so4_check(p, bracket)
+
+    def test_sources_are_large_and_varied(self):
+        assert len(check_cases("corpus")) >= 50
+        perturbed = check_cases("perturbations")
+        assert len(perturbed) >= 300
+        assert {d.n_crossings % 2 for d, _ in perturbed} == {0, 1}
+        assert max(d.n_crossings for d, _ in perturbed) == 11
+        assert len(check_cases("criterion-10")) == 2
+        catalogue = check_cases("catalogue")
+        assert len(catalogue) == 84
+        assert max(d.n_crossings for d, _ in catalogue) == 18
+
+    def test_an_error_on_the_jones_curve(self):
+        # e vanishes at a = -A^3, z = A - A^-1 and has only even terms, so
+        # the Jones slice and parity miss it on an even diagram; at a = 1
+        # it is z^3 + 3z, and at a = B^3, z = B - B^-1 it is 2B^6 - 2.
+        a, z = LaurentPoly.var_a(), LaurentPoly.var_z()
+        e = a * a + (a * z).scale(3) + a * z * z * z - LaurentPoly.one()
+        even = [(d, bracket) for d, bracket in check_cases("corpus")
+                if d.n_crossings and d.n_crossings % 2 == 0]
+        assert len(even) >= 10
+        for d, bracket in even:
+            p = evaluate_laurent(d) + e
+            assert specialize_to_bracket(p) == bracket
+            assert parity_check(p, d)
+            assert not so1_check(p)
+            assert not so4_check(p, bracket)
+
+    def test_each_check_sees_its_own_errors(self):
+        d = braid("s1 s1 s1")
+        p, bracket = evaluate_laurent(d), bracket_statesum(d)
+        # the trefoil has 3 crossings, so an even term breaks parity
+        assert parity_check(p, d)
+        assert not parity_check(p + LaurentPoly.var_a(2), d)
+        assert not so4_check(p, bracket * BracketPoly.monomial(4, -1))
+        # the square of a bracket with odd degrees is never a B-polynomial
+        assert not so4_check(p, BracketPoly({1: 1}))
+        # a z-pole that does not cancel, or a non-real coefficient, is a
+        # failed check, not an error
+        assert not so4_check(p + LaurentPoly.var_z(-1), bracket)
+        assert not so4_check(p + LaurentPoly.one().scale(I), bracket)

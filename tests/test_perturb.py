@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from framedskein import perturb
 from framedskein.corpus import DEFAULT_SEED, generate_corpus
-from framedskein.diagram import parse_diagram, serialize_pd
+from framedskein.diagram import FramedDiagram, parse_diagram, serialize_pd
 from framedskein.perturb import (
+    _moves,
     _poke_sites,
+    _slide,
     _try_poke,
     r2_insertions,
     r2_removals,
@@ -128,6 +130,30 @@ class TestPokeSites:
             assert len(calls) == len(pokes) == len(_poke_sites(d))
 
 
+def perturbed_corpus():
+    """The resolved corpus entries and 320 perturbations of them, of 1-4
+    steps and up to 11 crossings."""
+    corpus = resolved_corpus()
+    rng = random.Random(17)
+    return corpus + [random_perturbation(corpus[seed % len(corpus)],
+                                         random.Random(seed),
+                                         steps=rng.randint(1, 4),
+                                         max_crossings=11)
+                     for seed in range(320)]
+
+
+class CountingRandom(random.Random):
+    """``random_perturbation`` draws once for each step it takes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
 class TestR3:
     def test_braid_relation(self):
         d1 = braid("s1 s2 s1 s1")
@@ -144,6 +170,28 @@ class TestR3:
                 assert m.n_crossings == d.n_crossings
                 assert evaluate_laurent(m) == v
 
+    def test_no_slide_across_a_flat_corner(self):
+        # The one triangle of s1 s2 s1 slides; with any corner flat it has
+        # no strand on top there, and is not listed.
+        d = braid("s1 s2 s1")
+        assert _moves(d)[1] == [f for f in d.faces() if len(f) == 3]
+        for c in range(3):
+            assert _moves(d.make_flat(c))[1] == []
+
+    def test_every_listed_slide_is_planar(self):
+        # The module docstring's proof: a slide keeps every face but the
+        # triangle, which it replaces by another, so the Euler count holds
+        # without a check.
+        diagrams = perturbed_corpus()
+        slides = 0
+        for d in diagrams:
+            for face in _moves(d)[1]:
+                out = _slide(d, face)
+                assert out._is_planar(), serialize_pd(d)
+                assert len(out.faces()) == len(d.faces())
+                slides += 1
+        assert len(diagrams) >= 370 and slides >= 250
+
     def test_moves_are_reversible(self):
         d = braid("s1 s2 s1")
         for m in r3_moves(d):
@@ -152,6 +200,26 @@ class TestR3:
 
 
 class TestRandomPerturbation:
+    def test_each_step_builds_one_diagram(self, monkeypatch):
+        made = []
+        make = FramedDiagram._make.__func__
+
+        def counted(cls, *args):
+            made.append(args)
+            return make(cls, *args)
+        monkeypatch.setattr(FramedDiagram, "_make", classmethod(counted))
+        steps = 0
+        for e in generate_corpus(DEFAULT_SEED):
+            d = e.diagram()
+            for seed in range(6):
+                rng = CountingRandom(seed)
+                made.clear()
+                random_perturbation(d, rng, steps=1 + seed % 3,
+                                    max_crossings=d.n_crossings + seed % 4)
+                assert len(made) == rng.draws, e.id
+                steps += rng.draws
+        assert steps >= 500
+
     def test_deterministic_for_seed(self):
         d = braid("s1 s2^-1 s1 s2^-1")
         a = random_perturbation(d, random.Random(7), steps=3)

@@ -23,7 +23,7 @@ from framedskein.ring import (
     series_from_json,
     series_to_json,
 )
-from framedskein.ring import _IntPoly
+from framedskein.ring import _IntPoly, _mul_terms
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gauss = st.builds(GaussRational.of, fractions, fractions)
@@ -91,6 +91,15 @@ class TestIntPoly:
                              for (da, dz), c in p.terms.items()})
         assert (packed(small) ** k).to_laurent() == small ** k
 
+    @given(int_laurents(), int_laurents(), int_laurents(),
+           st.sampled_from([LaurentPoly.var_z(),
+                            LaurentPoly.var_z() - LaurentPoly.var_a(-1)]))
+    @settings(max_examples=40)
+    def test_skein_step(self, s, a, b, z):
+        step = packed(s).skein_step(packed(z), packed(a), packed(b))
+        assert step.to_laurent() == s + z * (a - b)
+        assert all(step.values())
+
     def test_only_unit_monomials_invert(self):
         with pytest.raises(NotAUnitError):
             packed(LaurentPoly.term(2, 1, 0)) ** -1
@@ -131,6 +140,23 @@ class TestGaussRational:
                 a.inverse()
         else:
             assert a * a.inverse() == ONE
+
+    @given(st.one_of(gauss, st.builds(GaussRational.of, fractions)),
+           st.one_of(gauss, st.builds(GaussRational.of, fractions)))
+    def test_arithmetic_matches_the_formulas(self, a, b):
+        # against the dataclass's own constructor, on real and complex
+        # values: the results skip its checks, so their parts must
+        # already be Fractions
+        ar, ai, br, bi = a.re, a.im, b.re, b.im
+        for got, want in ((a + b, (ar + br, ai + bi)),
+                          (a - b, (ar - br, ai - bi)),
+                          (-a, (-ar, -ai)),
+                          (a * b, (ar * br - ai * bi, ar * bi + ai * br))):
+            assert got == GaussRational(*want)
+            assert type(got.re) is Fraction and type(got.im) is Fraction
+        if not b.is_zero():
+            n = br * br + bi * bi
+            assert b.inverse() == GaussRational(br / n, -bi / n)
 
     def test_i_squares_to_minus_one(self):
         assert I * I == GaussRational.of(-1)
@@ -240,6 +266,15 @@ class TestBaseConstants:
         assert a.coeff(0, 0) == I
         assert a.coeff(0, 1) == I
         assert a.coeff(0, 2) == GaussRational.of(0, Fraction(1, 2))
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           gauss, max_size=8),
+           st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           gauss, max_size=8))
+    @settings(max_examples=40)
+    def test_product_is_the_truncated_full_product(self, p, q):
+        x, y = BiSeries(5, p), BiSeries(5, q)
+        assert x * y == BiSeries(5, _mul_terms(x.coeffs, y.coeffs))
 
     def test_units(self):
         consts = base_constants(6)

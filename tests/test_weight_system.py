@@ -17,23 +17,28 @@ a signed sum of smoothings, and at x = 0 every c-component diagram is
 worth delta^(c - 1) with delta = n + 2.  W_N is the so(N) vector weight
 system (Bar-Natan, Topology 34 (1995)).
 
-The weight system below reads only ``strand_components``, ``resolve_flat``
-and ``crossing_sign``; the engine is run only for the value it is
-compared with.
+The weight system (``singular.son_weight_system``) reads only
+``strand_components``, ``resolve_flat`` and ``crossing_sign``; the engine
+is run only for the value it is compared with.
 """
 
-import itertools
 import random
 
 import pytest
 
+from framedskein import singular, skein
 from framedskein.corpus import default_corpus
 from framedskein.diagram import parse_diagram
 from framedskein.ring import GaussRational
 from framedskein.singular import (
+    chord_diagram,
+    chord_weight,
+    chords_of_circles,
     derived_invariant,
     flat_kink_unknot,
     insert_flat_kink,
+    plus_resolution_sign,
+    son_weight_system,
 )
 from framedskein.skein import evaluate_series
 
@@ -42,80 +47,14 @@ def braid(word):
     return parse_diagram(word, "braid")
 
 
-def chord_diagram(sd):
-    """The chord diagram of ``sd``: a circle per strand, met at each of
-    its flat points, and an empty circle per free loop."""
-    flats = set(sd.flat_crossings())
-    circles = [[h >> 2 for h in walk if h >> 2 in flats]
-               for walk in sd.strand_components()]
-    return from_circles(circles + [[]] * sd.free_loops)
-
-
-def from_circles(circles):
-    """From the chord labels met along each circle: the chords as pairs
-    of visit numbers, the arcs of the circles as a map between visit ends
-    (visit v arrives at end 2v and leaves from 2v + 1), and the number of
-    circles with no chord."""
-    visits = {}
-    along = {}
-    empty = 0
-    count = 0
-    for labels in circles:
-        ids = list(range(count, count + len(labels)))
-        count += len(labels)
-        for lab, v in zip(labels, ids):
-            visits.setdefault(lab, []).append(v)
-        if not ids:
-            empty += 1
-        for a, b in zip(ids, ids[1:] + ids[:1]):
-            along[2 * a + 1], along[2 * b] = 2 * b, 2 * a + 1
-    return list(visits.values()), along, empty
-
-
 def weight(sd, N):
-    """W_N of the chord diagram of ``sd``."""
+    """W_N of the chord diagram of ``sd``, without the sign."""
     return chord_weight(*chord_diagram(sd), N)
-
-
-def chord_weight(chords, along, empty, N, twist=-1):
-    """W_N of a chord diagram given as :func:`from_circles` returns it;
-    each twisted chord contributes a factor ``twist``."""
-    total = 0
-    for twisted in itertools.product((False, True), repeat=len(chords)):
-        joined = {}
-        for (p, q), tw in zip(chords, twisted):
-            pairs = (((2 * p, 2 * q), (2 * p + 1, 2 * q + 1)) if tw else
-                     ((2 * p, 2 * q + 1), (2 * q, 2 * p + 1)))
-            for a, b in pairs:
-                joined[a], joined[b] = b, a
-        circles = empty
-        seen = set()
-        for end in along:
-            if end in seen:
-                continue
-            circles += 1
-            while end not in seen:
-                seen.add(end)
-                seen.add(along[end])
-                end = joined[along[end]]
-        total += twist ** sum(twisted) * N ** (circles - 1)
-    return total
-
-
-def sign_of_plus_resolution(sd):
-    """eps: the product of the flat points' signs, each resolved +1."""
-    resolved = sd
-    for c in sd.flat_crossings():
-        resolved = resolved.resolve_flat(c, 1)
-    eps = 1
-    for c in sd.flat_crossings():
-        eps *= resolved.crossing_sign(c)
-    return eps
 
 
 def predicted_top(sd, n):
     k = len(sd.flat_crossings())
-    return 2 ** k * sign_of_plus_resolution(sd) * weight(sd, n + 2)
+    return 2 ** k * son_weight_system(sd, n + 2)
 
 
 def engine_top(sd, n):
@@ -189,7 +128,7 @@ def test_generated_cases_are_varied():
 def test_corpus_cases_have_both_signs():
     # eps = -1 must occur with a non-zero weight, or a dropped eps
     # would go unseen
-    signs = {sign_of_plus_resolution(sd) for sd in CASES["corpus"]
+    signs = {plus_resolution_sign(sd) for sd in CASES["corpus"]
              if weight(sd, 2)}
     assert signs == {1, -1}
 
@@ -253,14 +192,14 @@ def with_chords(circles, first, second):
                 labels += [lab for lab, ends in (("A", first), ("B", second))
                            if x in ends]
         labelled.append(labels)
-    return from_circles(labelled)
+    return chords_of_circles(labelled)
 
 
-def four_term(circles, N, twist=-1):
+def four_term(circles, N):
     """W(t12 t13) - W(t13 t12) + W(t12 t23) - W(t23 t12), and the four
     weights."""
     t12, t13, t23 = (1, 2), (1, 3), (2, 3)
-    ws = [chord_weight(*with_chords(circles, f, s), N, twist)
+    ws = [chord_weight(*with_chords(circles, f, s), N)
           for f, s in ((t12, t13), (t13, t12), (t12, t23), (t23, t12))]
     return ws[0] - ws[1] + ws[2] - ws[3], ws
 
@@ -292,8 +231,21 @@ def test_four_term_cases_are_varied():
     assert any(len(set(p.values())) == 3 for p in on)
 
 
-def test_four_term_needs_the_twist_sign():
+def test_four_term_needs_the_twist_sign(monkeypatch):
     # with the (-1)^twisted sign dropped the relation fails, so the
     # check above has teeth
-    assert any(four_term(circles, N, twist=1)[0]
+    monkeypatch.setattr(singular, "_TWIST", 1)
+    assert any(four_term(circles, N)[0]
                for circles in FOUR_TERM_CASES for N in (2, 3))
+
+
+def test_weight_system_calls_no_engine(monkeypatch):
+    cases = CASES["generated"][:10] + EIGHT_FLAT
+    want = [son_weight_system(sd, 3) for sd in cases]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the weight system ran the engine")
+    monkeypatch.setattr(skein, "_evaluate_unchecked", boom)
+    monkeypatch.setattr(singular, "evaluate_series", boom)
+    assert [son_weight_system(sd, 3) for sd in cases] == want
+    assert any(want)
