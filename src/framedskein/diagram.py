@@ -11,21 +11,21 @@ Representation.  Slot ``s`` of crossing ``c`` is the int stub
 flags ``crossings``, the int tuple ``mate`` (``mate[h]`` is the stub at
 the other end of ``h``'s arc) and the count ``free_loops``.  ``arcs`` is
 a derived view, the sorted pairs of ``(crossing, slot)`` stubs, read by
-``serialize_pd``, ``singular.insert_flat_kink`` and kink-chain builders.
-Faces, strands and
-connected pieces depend on ``mate`` alone and are computed on demand;
-one depth-first search labels each crossing with the least crossing of
-its piece.  Only the public constructor ``FramedDiagram(crossings, arcs,
-free_loops)`` validates (stub range, perfect matching, over flags,
-planarity).  The local moves build their results with the private
-``FramedDiagram._make``.  A move that keeps ``mate`` (switching,
+``serialize_pd``, ``singular.figure_three_configuration`` and kink-chain
+builders.  Faces, strands and connected pieces depend on ``mate`` alone
+and are computed on demand; one depth-first search labels each crossing
+with the least crossing of its piece.  Only the public constructor
+``FramedDiagram(crossings, arcs, free_loops)`` validates (stub range,
+perfect matching, over flags, planarity); the three parsers and
+``singular.flat_kink_unknot`` call it.  Every move, perturbation and
+flat kink builds its result, a diagram by construction, with the
+private ``FramedDiagram._make``.  A move that keeps ``mate`` (switching,
 resolving or flattening a crossing, adding or removing free loops)
 shares the parent's ``mate`` tuple and carries its faces, strands,
 pieces and skein plans, so each is computed at most once along such
-moves.  Removing a
-kink from a connected diagram leaves it connected, so that removal
-carries the pieces too; smoothings and bigon removals can split a
-diagram, and their results compute the pieces again.
+moves.  Removing a kink from a connected diagram leaves it connected,
+so that removal carries the pieces too; smoothings and bigon removals
+can split a diagram, and their results compute the pieces again.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -134,7 +134,7 @@ class FramedDiagram:
               free_loops: int) -> "FramedDiagram":
         """The private constructor: a diagram from its stored form, with
         no checks.  Moves whose result is a diagram by construction use
-        it; ``perturb`` also checks its candidates with ``_is_planar``.
+        it.
 
         Callers build the tuples from lists, not generators: ``tuple()``
         of a generator starts at length 10 and is resized, so each one
@@ -415,16 +415,25 @@ class FramedDiagram:
         """Insert a one-crossing curl of the given sign on an arc."""
         if sign not in (1, -1):
             raise DiagramError("kink sign must be +1 or -1")
+        return self._curl(arc, 1 if sign == 1 else 0, 0)
+
+    def _curl(self, arc: tuple[HalfEdge, HalfEdge], over: Optional[int],
+              first: int) -> "FramedDiagram":
+        """A new crossing with flag ``over`` on the arc ``(u, v)``: its
+        slots ``first`` and ``first + 1`` are joined, the curl, and slots
+        ``first + 2`` and ``first + 3`` (mod 4) take ``u`` and ``v``."""
         n = self.n_crossings
         i, j = _stub(arc[0], n), _stub(arc[1], n)
         if self.mate[i] != j:
             raise DiagramError("not an arc of this diagram")
-        # the new crossing's slots 2 and 3 take the arc's ends; 0-1 is the curl
         k = 4 * n
-        mate = list(self.mate) + [k + 1, k, i, j]
-        mate[i], mate[j] = k + 2, k + 3
-        return FramedDiagram._make(self.crossings + (1 if sign == 1 else 0,),
-                                   tuple(mate), self.free_loops)
+        a, b = k + first, k + ((first + 1) & 3)
+        p, q = k + ((first + 2) & 3), k + ((first + 3) & 3)
+        mate = list(self.mate) + [0, 0, 0, 0]
+        mate[a], mate[b], mate[p], mate[q] = b, a, i, j
+        mate[i], mate[j] = p, q
+        return FramedDiagram._make(self.crossings + (over,), tuple(mate),
+                                   self.free_loops)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
         if self.free_loops + k < 0:

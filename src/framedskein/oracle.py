@@ -14,10 +14,11 @@ is the bridge from a Laurent value to the series ring
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb
 
-from .diagram import DiagramError, FramedDiagram
+from .diagram import DiagramError, FramedDiagram, _sign
 from .ring import ONE, ZERO, GaussRational, LaurentPoly, PowerSeries
 from .skein import evaluate_laurent
 
@@ -241,6 +242,55 @@ def so1_check(p: LaurentPoly) -> bool:
     for (_, j), c in p.terms.items():
         sums[j] = sums.get(j, ZERO) + c
     return {j: c for j, c in sums.items() if not c.is_zero()} == {0: ONE}
+
+
+def so2_check(p: LaurentPoly, d: FramedDiagram) -> bool:
+    """At ``a = q, z = q - q^-1`` twice a unit-normalised value is
+    ``2^(free loops) * sum_o q^(writhe(o))``, over the ``2^k``
+    orientations ``o`` of the ``k`` strands of the resolved diagram
+    ``d``: the SO(2) specialisation, with loop value 2.
+
+    The writhe sums the sign of every crossing, self-crossings and
+    crossings between strands alike; a reversed strand enters each
+    crossing at the opposite slot, ``h ^ 2``.  A value with a z-pole
+    that does not cancel, or with a non-real coefficient, fails."""
+    strands = d.strand_components()
+    weight = 2 ** d.free_loops
+    expected: dict[int, int] = {}
+    for flips in itertools.product((0, 2), repeat=len(strands)):
+        entries: list[list[int]] = [[] for _ in d.crossings]
+        for walk, flip in zip(strands, flips):
+            for h in walk:
+                entries[h >> 2].append((h ^ flip) & 3)
+        writhe = sum(_sign(over, *slots)
+                     for over, slots in zip(d.crossings, entries))
+        expected[writhe] = expected.get(writhe, 0) + weight
+    try:
+        value = _specialize(p, 1, 1)
+    except ArithmeticError:
+        return False
+    return {deg: 2 * c for deg, c in value.items()} == expected
+
+
+def z_degree_check(p: LaurentPoly, d: FramedDiagram) -> bool:
+    """The largest z-degree of ``d``'s value is at most ``c - b``, with
+    ``c`` crossings and ``b`` the longest run of over-passes along one
+    strand, in crossings (Kidwell, Proc. AMS 100 (1987); Thistlethwaite,
+    Topology 27 (1988))."""
+    longest = 0
+    for walk in d.strand_components():
+        over = [(h & 1) == d.crossings[h >> 2] for h in walk]
+        if all(over):
+            longest = max(longest, len(over))
+            continue
+        run = 0
+        # start after an under-pass, so no run wraps past the end
+        start = over.index(False) + 1
+        for o in over[start:] + over[:start]:
+            run = run + 1 if o else 0
+            longest = max(longest, run)
+    bound = d.n_crossings - longest
+    return all(j <= bound for _, j in p.terms)
 
 
 def so4_check(p: LaurentPoly, bracket: BracketPoly) -> bool:

@@ -5,25 +5,31 @@ are the test harness for invariance of the evaluator.  Writhe-changing
 moves (R1) are deliberately absent.
 
 An R2 poke pushes one arc of a face across another arc of the same face,
-adding two crossings that bound a removable untwisted bigon.  Planarity
-is the only filter: a planar poke on n crossings is by construction the
-untwisted bigon ``R2Pair(n, n + 1)``, whose removal gives the diagram
-back (``TestRemoval::test_matches_reference_on_corpus_pokes`` checks
-both on every corpus poke).
+adding two crossings that bound a removable untwisted bigon.  A poke
+site is a pair of stubs ``(e1, e2)``: the arc run from ``e1`` to
+``mate[e1]`` is pushed over the arc run from ``e2`` to ``mate[e2]``.
+``_poke_sites`` lists, face by face in ``faces()`` order, every pair of
+stubs ``e1``, ``e2`` of the face with ``e2`` neither ``e1`` nor
+``mate[e1]``, each followed by the pair of mates ``(mate[e1],
+mate[e2])`` when the mates lie on a common face.
 
-A poke site ``(e1, e2, flipped)`` names the two arcs by stubs ``e1`` and
-``e2`` of one face.  Unflipped, both arcs are run from those stubs, as
-the face runs them, and the poke is always planar.  Flipped, both arcs
-are run from their mates, which is planar exactly when ``mate[e1]`` and
-``mate[e2]`` lie on a common face: the poke then lies in that face.
-Flipping one arc only is never planar, because the other side of an arc
-always belongs to another face (a 4-valent graph has no bridge), so no
-face runs the two arcs in those senses.
+Every listed poke is planar, so none is checked.  Both arcs of a site
+are run as one face runs them (for a pair of mates, the face holding
+the mates), so the poke lies in that face: the finger splits the face
+in two and its tip adds the bigon on the far side of the other arc,
+two faces for two crossings, and the Euler count still holds.  A
+poke with only one arc run against the face's sense is never planar,
+because the other side of an arc always belongs to another face (a
+4-valent graph has no bridge), so no face runs the two arcs in those
+senses.  A planar poke on n crossings is by construction the untwisted
+bigon ``R2Pair(n, n + 1)``, whose removal gives the diagram back;
+``TestPokeSites::test_every_listed_poke_is_planar_and_removable``
+checks both on the corpus and its perturbations.
 
-A flipped site builds the same diagram as the unflipped site
-``(mate[e1], mate[e2])`` of the face on the other side.  These
-duplicates stay in the list: ``random_perturbation`` draws among the
-sites, and dropping them would change the map from seed to diagram.
+A listed pair of mates repeats the pair that the face holding the mates
+lists itself, and builds the same diagram.  The repeats stay in the
+list: ``random_perturbation`` draws among the sites, and dropping them
+would change the map from seed to diagram.
 
 An R3 slide moves one side of a triangle face across the opposite
 corner.  A triangle slides when its three corners are distinct and
@@ -54,13 +60,12 @@ from typing import Iterator
 
 from .diagram import FramedDiagram, R2Pair, apply_reduction, untwisted_bigon
 
-PokeSite = tuple[int, int, bool]
+PokeSite = tuple[int, int]
 
 
 def _poke_sites(d: FramedDiagram) -> list[PokeSite]:
-    """Every planar poke site, in the order ``r2_insertions`` builds them:
-    faces in ``faces()`` order, then ``e1`` and ``e2`` over the face,
-    unflipped before flipped."""
+    """Every poke site, in the order ``r2_insertions`` builds them (see
+    the module docstring)."""
     faces = d.faces()
     mate = d.mate
     face_of = [0] * len(mate)
@@ -69,60 +74,41 @@ def _poke_sites(d: FramedDiagram) -> list[PokeSite]:
             face_of[h] = i
     sites = []
     for face in faces:
-        if len(face) < 2:
-            continue
         for e1 in face:
             m1 = mate[e1]
             for e2 in face:
                 if e2 == e1 or e2 == m1:
                     continue
-                sites.append((e1, e2, False))
-                if face_of[m1] == face_of[mate[e2]]:
-                    sites.append((e1, e2, True))
+                sites.append((e1, e2))
+                m2 = mate[e2]
+                if face_of[m1] == face_of[m2]:
+                    sites.append((m1, m2))
     return sites
-
-
-def _poke(d: FramedDiagram, site: PokeSite) -> FramedDiagram:
-    e1, e2, flipped = site
-    out = _try_poke(d, e1, e2, flipped, flipped)
-    if out is None:
-        raise AssertionError(f"poke site {site} of {d!r} is not a "
-                             "removable R2 poke")
-    return out
 
 
 def r2_insertions(d: FramedDiagram) -> Iterator[FramedDiagram]:
     """All R2 pokes of one face edge over another edge of the same face,
     one per poke site (see the module docstring), duplicates included."""
-    for site in _poke_sites(d):
-        yield _poke(d, site)
+    for e1, e2 in _poke_sites(d):
+        yield _poke(d, e1, e2)
 
 
-def _try_poke(d: FramedDiagram, e1: int, e2: int,
-              pflip: bool, qflip: bool) -> FramedDiagram | None:
-    """The poke of arc ``e1`` over arc ``e2``, each run from its mate when
-    flipped, or ``None`` when it is not planar, the only filter.
+def _poke(d: FramedDiagram, e1: int, e2: int) -> FramedDiagram:
+    """The poke of the arc run from ``e1`` over the arc run from ``e2``.
 
     The new crossings n and n + 1, both over flag 1, bound the untwisted
     bigon ``[k, k + 7]``.  Removing it with slots (0, 2) and (1, 3) runs
     ``u``-``k + 1``-``k + 3``-``k + 7``-``k + 5``-``v`` and
     ``w``-``k + 4``-``k + 6``-``k``-``k + 2``-``x``, which gives ``d``
-    back; the corpus-poke test of ``TestRemoval`` checks both."""
-    u, v = e1, d.mate[e1]
-    w, x = e2, d.mate[e2]
-    if pflip:
-        u, v = v, u
-    if qflip:
-        w, x = x, w
+    back."""
+    u, v, w, x = e1, d.mate[e1], e2, d.mate[e2]
     # The new crossings n and n + 1 have stubs k..k + 3 and k + 4..k + 7.
-    n = d.n_crossings
-    k = 4 * n
+    k = 4 * d.n_crossings
     mate = list(d.mate) + [0] * 8
     for a, b in ((u, k + 1), (k + 3, k + 7), (k + 5, v),
                  (w, k + 4), (k + 6, k), (k + 2, x)):
         mate[a], mate[b] = b, a
-    cand = FramedDiagram._make(d.crossings + (1, 1), tuple(mate), d.free_loops)
-    return cand if cand._is_planar() else None
+    return FramedDiagram._make(d.crossings + (1, 1), tuple(mate), d.free_loops)
 
 
 def _moves(d: FramedDiagram) -> tuple[list[R2Pair], list[list[int]]]:
@@ -206,7 +192,7 @@ def random_perturbation(d: FramedDiagram, rng: random.Random,
             break
         i = rng.randrange(total)
         if i < n_sites:
-            cur = _poke(cur, sites[i])
+            cur = _poke(cur, *sites[i])
         elif i < n_sites + n_removals:
             cur = apply_reduction(cur, removals[i - n_sites])[0]
         else:

@@ -125,21 +125,18 @@ def insert_flat_kink(d: FramedDiagram, arc: tuple[HalfEdge, HalfEdge],
     """Put a flat kink on an arc; resolving it +1 gives a +1 framing kink.
 
     ``side`` picks which side of the (u -> v)-directed arc the loop sits
-    on; either way the +1 resolution is the positive kink.  Returns the
-    new diagram and the index of the flat crossing.
+    on; either way the +1 resolution is the positive kink.  The kink is
+    ``add_kink``'s curl turned one slot: slots 1 and 2 are joined, and
+    slots 3 and 0 take ``u`` and ``v`` on the left, ``v`` and ``u`` on
+    the right.  Returns the new diagram and the index of the flat
+    crossing.
     """
-    if arc not in d.arcs and (arc[1], arc[0]) not in d.arcs:
-        raise DiagramError(f"no arc {arc!r}")
     u, v = arc
-    c = d.n_crossings
-    arcs = [a for a in d.arcs if a not in (arc, (arc[1], arc[0]))]
-    if side == "left":
-        arcs += [(u, (c, 3)), ((c, 1), (c, 2)), ((c, 0), v)]
-    elif side == "right":
-        arcs += [(u, (c, 0)), ((c, 1), (c, 2)), ((c, 3), v)]
-    else:
+    if side == "right":
+        u, v = v, u
+    elif side != "left":
         raise DiagramError(f"unknown side {side!r}")
-    return FramedDiagram(list(d.crossings) + [None], arcs, d.free_loops), c
+    return d._curl((u, v), None, 1), d.n_crossings
 
 
 def figure_three_configuration(d: FramedDiagram,
@@ -154,10 +151,10 @@ def figure_three_configuration(d: FramedDiagram,
 
 
 def _one_gon_at(sd: FramedDiagram, c: int) -> bool:
-    for face in sd.faces():
-        if len(face) == 1 and sd.mate[face[0]] >> 2 == c:
-            return True
-    return False
+    """Crossing ``c`` bounds a 1-gon face exactly when one arc joins two
+    neighbouring slots of ``c``."""
+    mate, h = sd.mate, 4 * c
+    return any(mate[h + s] == h + ((s + 1) & 3) for s in range(4))
 
 
 def is_admissible_in_diagram(sd: SingularDiagram, flat_point: int) -> str:

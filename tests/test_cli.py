@@ -251,6 +251,49 @@ class TestVerify:
         assert len(json.loads(out)["cases"]) >= 1
 
 
+    def test_cross_ring_mismatch_fails(self, capsys, monkeypatch, tmp_path):
+        from framedskein.corpus import generate_corpus, write_corpus
+        write_corpus(generate_corpus(7)[:6], tmp_path)
+        bridge = cli.laurent_to_series
+
+        def wrong(p, n, order):
+            return bridge(p + p, n, order)
+        monkeypatch.setattr(cli, "laurent_to_series", wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "cross-ring",
+                           "--corpus", str(tmp_path), "--json")
+        assert code == EXIT_FAIL
+        cases = json.loads(out)["cases"]
+        assert cases and all(not c["pass"] and c["detail"] == "mismatch at n=0"
+                             for c in cases)
+
+    def test_finite_type_skips_more_than_four_flat_points(self, capsys,
+                                                          tmp_path):
+        from framedskein.corpus import _entry, default_corpus, write_corpus
+
+        def cases(entries, path):
+            write_corpus(entries, path)
+            code, out, _ = run(capsys, "verify", "--suite", "finite-type",
+                               "--corpus", str(path), "--json")
+            assert code == EXIT_OK
+            report = json.loads(out)["cases"]
+            for c in report:
+                c.pop("ms")
+            return report
+
+        d = parse_diagram("s1 s2 s1 s2 s1", "braid")
+        for c in range(5):
+            d = d.make_flat(c)
+        five = _entry("flat5", d)
+        assert five.n_flat == 5
+        flat = [e for e in default_corpus()
+                if 1 <= e.n_flat <= 2 and e.n_crossings <= 6][:3]
+        assert len(flat) == 3
+        without = cases(flat, tmp_path / "without")
+        got = cases(flat[:1] + [five] + flat[1:], tmp_path / "with")
+        assert not any(c["id"].startswith("flat5") for c in got)
+        assert got == without and len(got) >= 3
+
+
 class TestCorpusCommand:
     def test_generates_manifest(self, capsys, tmp_path):
         code, out, _ = run(capsys, "corpus", "--out", str(tmp_path))

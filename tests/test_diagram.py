@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_skein import C10_WORDS, kink_chain
 
-from framedskein import diagram, perturb, skein
+from framedskein import diagram, perturb, singular, skein
 from framedskein.corpus import default_corpus
 from framedskein.diagram import (
     DiagramError,
@@ -79,6 +79,39 @@ class TestConstruction:
         d = braid("s1")
         assert d.crossing_sign(0) == 1
         assert d.switch_crossing(0).crossing_sign(0) == -1
+
+    def test_only_outside_input_is_validated(self, monkeypatch):
+        # Perturbations and flat kinks are diagrams by construction: they
+        # neither run the public constructor nor check planarity.  A
+        # parsed diagram is checked once.
+        calls = []
+        planar, init = FramedDiagram._is_planar, FramedDiagram.__init__
+
+        def counted_planar(d):
+            calls.append("planar")
+            return planar(d)
+
+        def counted_init(d, *args, **kwargs):
+            calls.append("init")
+            init(d, *args, **kwargs)
+        entries = [(e, e.diagram()) for e in default_corpus()]
+        monkeypatch.setattr(FramedDiagram, "_is_planar", counted_planar)
+        monkeypatch.setattr(FramedDiagram, "__init__", counted_init)
+        built = 0
+        for e, d in entries:
+            if not e.n_flat:
+                for steps in (1, 2, 3, 4):
+                    perturb.random_perturbation(d, random.Random(steps),
+                                                steps=steps)
+                built += len(list(perturb.r2_insertions(d)))
+            for arc in d.arcs:
+                for side in ("left", "right"):
+                    singular.insert_flat_kink(d, arc, side)
+                singular.figure_three_configuration(d, arc)
+                built += 3
+        assert calls == [] and built > 5000
+        parse_diagram(TREFOIL, "braid")
+        assert calls == ["init", "planar"]
 
 
 # Closures with two and three strands: the code must fix how the
@@ -662,20 +695,22 @@ class TestRemoval:
 
     def test_matches_reference_on_corpus_pokes(self, monkeypatch):
         # every planar poke is the untwisted bigon of its two new
-        # crossings, and removing it gives the diagram back; unequal
-        # flips are never planar
+        # crossings, and removing it gives the diagram back; pokes with
+        # both arcs run from their mates are tried too, as the poke
+        # sites list them
         calls = checked_removals(monkeypatch)
         for e in default_corpus():
             d = e.diagram()
             n = d.n_crossings
+            mate = d.mate
             for face in d.faces():
                 for e1 in face:
                     for e2 in face:
-                        if e2 in (e1, d.mate[e1]):
+                        if e2 in (e1, mate[e1]):
                             continue
-                        for flip in (False, True):
-                            p = perturb._try_poke(d, e1, e2, flip, flip)
-                            if p is None:
+                        for a, b in ((e1, e2), (mate[e1], mate[e2])):
+                            p = perturb._poke(d, a, b)
+                            if not p._is_planar():
                                 continue
                             move = untwisted_bigon(p, 4 * n)
                             assert move == R2Pair(n, n + 1)

@@ -25,9 +25,11 @@ from framedskein.oracle import (
     laurent_to_series,
     parity_check,
     so1_check,
+    so2_check,
     so4_check,
     specialization_check,
     specialize_to_bracket,
+    z_degree_check,
 )
 from framedskein.perturb import random_perturbation
 from framedskein.ring import I, LaurentPoly, _IntPoly, series_to_json
@@ -241,8 +243,9 @@ def check_cases(source):
 
 
 class TestEngineFreeChecks:
-    """Parity, SO(1) and SO(4) read a value and, for SO(4), the state-sum
-    bracket; none of them runs the engine."""
+    """Parity, SO(1), SO(2), SO(4) and the z-degree bound read a value
+    and, for SO(4), the state-sum bracket, and for parity, SO(2) and the
+    z-degree bound the diagram; none of them runs the engine."""
 
     @pytest.mark.parametrize("source", ["corpus", "perturbations",
                                         "criterion-10", "catalogue"])
@@ -252,7 +255,9 @@ class TestEngineFreeChecks:
             p = evaluate_laurent(d)
             assert parity_check(p, d), serialize_pd(d)
             assert so1_check(p), serialize_pd(d)
+            assert so2_check(p, d), serialize_pd(d)
             assert so4_check(p, bracket), serialize_pd(d)
+            assert z_degree_check(p, d), serialize_pd(d)
             assert specialize_to_bracket(p) == bracket, serialize_pd(d)
 
     def test_checks_call_no_engine(self, monkeypatch):
@@ -266,7 +271,8 @@ class TestEngineFreeChecks:
             monkeypatch.setattr(_IntPoly, name, boom)
         for d, bracket, p in cases:
             assert parity_check(p, d) and so1_check(p) \
-                and so4_check(p, bracket)
+                and so2_check(p, d) and so4_check(p, bracket) \
+                and z_degree_check(p, d)
 
     def test_sources_are_large_and_varied(self):
         assert len(check_cases("corpus")) >= 50
@@ -282,7 +288,8 @@ class TestEngineFreeChecks:
     def test_an_error_on_the_jones_curve(self):
         # e vanishes at a = -A^3, z = A - A^-1 and has only even terms, so
         # the Jones slice and parity miss it on an even diagram; at a = 1
-        # it is z^3 + 3z, and at a = B^3, z = B - B^-1 it is 2B^6 - 2.
+        # it is z^3 + 3z, at a = q, z = q - q^-1 it is q^4 + q^2 - q^-2 - 1,
+        # and at a = B^3, z = B - B^-1 it is 2B^6 - 2.
         a, z = LaurentPoly.var_a(), LaurentPoly.var_z()
         e = a * a + (a * z).scale(3) + a * z * z * z - LaurentPoly.one()
         even = [(d, bracket) for d, bracket in check_cases("corpus")
@@ -293,6 +300,7 @@ class TestEngineFreeChecks:
             assert specialize_to_bracket(p) == bracket
             assert parity_check(p, d)
             assert not so1_check(p)
+            assert not so2_check(p, d)
             assert not so4_check(p, bracket)
 
     def test_each_check_sees_its_own_errors(self):
@@ -308,3 +316,13 @@ class TestEngineFreeChecks:
         # failed check, not an error
         assert not so4_check(p + LaurentPoly.var_z(-1), bracket)
         assert not so4_check(p + LaurentPoly.one().scale(I), bracket)
+        assert so2_check(p, d)
+        assert not so2_check(p + LaurentPoly.var_z(-1), d)
+        assert not so2_check(p + LaurentPoly.one().scale(I), d)
+        # the value of the trefoil with one more positive kink: at a = q
+        # it is q times the trefoil's, which the writhe sum does not see
+        assert not so2_check(p * LaurentPoly.var_a(), d)
+        # the trefoil's over-runs are one crossing long, so its z-degree
+        # is at most 3 - 1; z^3 has the parity of 3 crossings
+        assert z_degree_check(p, d)
+        assert not z_degree_check(p + LaurentPoly.var_z(3), d)

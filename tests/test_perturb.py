@@ -6,12 +6,19 @@ from hypothesis import strategies as st
 
 from framedskein import perturb
 from framedskein.corpus import DEFAULT_SEED, generate_corpus
-from framedskein.diagram import FramedDiagram, parse_diagram, serialize_pd
+from framedskein.diagram import (
+    FramedDiagram,
+    R2Pair,
+    apply_reduction,
+    parse_diagram,
+    serialize_pd,
+    untwisted_bigon,
+)
 from framedskein.perturb import (
     _moves,
+    _poke,
     _poke_sites,
     _slide,
-    _try_poke,
     r2_insertions,
     r2_removals,
     r3_moves,
@@ -82,23 +89,27 @@ class TestR2:
 
 class TestPokeSites:
     def test_sites_match_the_exhaustive_filter(self):
-        # Every flip pair that gives a removable poke, found by building
-        # all four, in the order the sites come: equal flips only, the
-        # flipped one exactly when the mates share a face.
+        # Every pair of arc senses that gives a planar poke, found by
+        # building all four, in the order the sites come: equal senses
+        # only, the pair of mates exactly when the mates share a face.
         triples = 0
         for d in site_rule_diagrams():
+            mate = d.mate
             valid = []
             for face in d.faces():
                 for e1 in face:
                     for e2 in face:
-                        if e2 in (e1, d.mate[e1]):
+                        if e2 in (e1, mate[e1]):
                             continue
                         triples += 1
-                        valid.extend((e1, e2, p, q)
-                                     for q in (False, True)
-                                     for p in (False, True)
-                                     if _try_poke(d, e1, e2, p, q) is not None)
-            assert valid == [(e1, e2, f, f) for e1, e2, f in _poke_sites(d)]
+                        valid.extend(
+                            (e1, e2, p, q)
+                            for q in (False, True) for p in (False, True)
+                            if _poke(d, mate[e1] if p else e1,
+                                     mate[e2] if q else e2)._is_planar())
+            assert all(p == q for _, _, p, q in valid)
+            assert [(mate[e1], mate[e2]) if f else (e1, e2)
+                    for e1, e2, f, _ in valid] == _poke_sites(d)
         assert triples > 10000
 
     def _count_pokes(self, monkeypatch):
@@ -106,8 +117,8 @@ class TestPokeSites:
 
         def counted(*args):
             calls.append(args)
-            return _try_poke(*args)
-        monkeypatch.setattr(perturb, "_try_poke", counted)
+            return _poke(*args)
+        monkeypatch.setattr(perturb, "_poke", counted)
         return calls
 
     def test_only_the_picked_poke_is_built(self, monkeypatch):
@@ -128,6 +139,26 @@ class TestPokeSites:
             calls.clear()
             pokes = list(r2_insertions(d))
             assert len(calls) == len(pokes) == len(_poke_sites(d))
+
+    def test_every_listed_poke_is_planar_and_removable(self):
+        # The module docstring's proof: each listed poke lies in one face,
+        # so the Euler count holds without a check, and its two new
+        # crossings bound the untwisted bigon whose removal gives the
+        # diagram back.
+        def stored(d):
+            return d.crossings, d.mate, d.free_loops
+
+        pokes = 0
+        for d in perturbed_corpus():
+            n = d.n_crossings
+            for e1, e2 in _poke_sites(d):
+                p = _poke(d, e1, e2)
+                assert p._is_planar(), (serialize_pd(d), e1, e2)
+                move = untwisted_bigon(p, 4 * n)
+                assert move == R2Pair(n, n + 1)
+                assert stored(apply_reduction(p, move)[0]) == stored(d)
+                pokes += 1
+        assert pokes > 30000
 
 
 def perturbed_corpus():

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedskein.diagram import DiagramError, parse_diagram
+from framedskein.corpus import default_corpus
+from framedskein.diagram import DiagramError, FramedDiagram, parse_diagram
+from framedskein.perturb import random_perturbation
 from framedskein.ring import LaurentPoly
 from framedskein.singular import (
     FramingEvent,
+    _one_gon_at,
     check_integrability,
     derived_invariant,
     figure_three_configuration,
@@ -132,6 +137,76 @@ class TestOneTermRelation:
         sd = braid("s1 s1 s1").make_flat(0).make_flat(1)
         with pytest.raises(DiagramError):
             one_term_relation_check(evaluate_laurent, sd)
+
+
+def arc_list_flat_kink(d, arc, side):
+    """A flat kink on ``arc`` built from the arc list through the public
+    constructor: the reference for ``insert_flat_kink``."""
+    if arc not in d.arcs and (arc[1], arc[0]) not in d.arcs:
+        raise DiagramError(f"no arc {arc!r}")
+    u, v = arc
+    c = d.n_crossings
+    arcs = [a for a in d.arcs if a not in (arc, (arc[1], arc[0]))]
+    if side == "left":
+        arcs += [(u, (c, 3)), ((c, 1), (c, 2)), ((c, 0), v)]
+    else:
+        arcs += [(u, (c, 0)), ((c, 1), (c, 2)), ((c, 3), v)]
+    return FramedDiagram(list(d.crossings) + [None], arcs, d.free_loops), c
+
+
+class TestInsertFlatKink:
+    def test_matches_the_arc_list_construction(self):
+        cases = 0
+        for e in default_corpus():
+            d = e.diagram()
+            for u, v in d.arcs:
+                for arc in ((u, v), (v, u)):
+                    for side in ("left", "right"):
+                        got, c = insert_flat_kink(d, arc, side)
+                        want, c_want = arc_list_flat_kink(d, arc, side)
+                        assert c == c_want == d.n_crossings
+                        assert (got.crossings, got.mate, got.free_loops) \
+                            == (want.crossings, want.mate, want.free_loops)
+                        cases += 1
+        assert cases == 2592
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("arc", [((0, 0), (0, 2)), ((0, 1), (0, 1)),
+                                     ((0, 0), (3, 1)), ((0, 4), (1, 0))])
+    def test_non_arc_rejected(self, arc, side):
+        d = braid("s1 s1 s1")
+        assert arc not in d.arcs and arc[::-1] not in d.arcs
+        with pytest.raises(DiagramError):
+            insert_flat_kink(d, arc, side)
+
+    def test_unknown_side_rejected(self):
+        d = braid("s1 s1 s1")
+        with pytest.raises(DiagramError, match="unknown side"):
+            insert_flat_kink(d, d.arcs[0], "up")
+
+
+def face_scan_one_gon(sd, c):
+    """Whether crossing ``c`` bounds a 1-gon, read off the faces."""
+    return any(len(face) == 1 and sd.mate[face[0]] >> 2 == c
+               for face in sd.faces())
+
+
+class TestOneGon:
+    def test_slot_rule_matches_the_face_scan(self):
+        entries = default_corpus()
+        diagrams = [e.diagram() for e in entries]
+        resolved = [d for e, d in zip(entries, diagrams) if not e.n_flat]
+        rng = random.Random(17)
+        diagrams += [random_perturbation(resolved[seed % len(resolved)],
+                                         random.Random(seed),
+                                         steps=rng.randint(1, 4),
+                                         max_crossings=11)
+                     for seed in range(200)]
+        found = [_one_gon_at(d, c) for d in diagrams
+                 for c in range(d.n_crossings)]
+        assert found == [face_scan_one_gon(d, c) for d in diagrams
+                         for c in range(d.n_crossings)]
+        assert len(found) > 1900 and 100 < sum(found) < len(found)
 
 
 class TestAdmissibility:
