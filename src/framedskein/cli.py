@@ -19,10 +19,23 @@ import zlib
 
 from . import corpus as corpus_mod
 from .diagram import DiagramError, ParseError, parse_diagram
-from .oracle import bracket_statesum, laurent_to_series, specialize_to_bracket
+from .oracle import (
+    bracket_statesum,
+    laurent_to_series,
+    parity_check,
+    so1_check,
+    so2_check,
+    so4_check,
+    specialize_to_bracket,
+    z_degree_check,
+)
 from .perturb import random_perturbation
-from .ring import laurent_to_json, series_to_json
-from .singular import finite_type_vanishing
+from .ring import GaussRational, laurent_to_json, series_to_json
+from .singular import (
+    derived_invariant,
+    finite_type_vanishing,
+    son_weight_system,
+)
 from .skein import (
     DEFAULT_NODE_BUDGET,
     AuditError,
@@ -148,12 +161,26 @@ def _suite_cases(args):
                       == bracket_statesum(d))
                 return ok, f"{e.n_crossings} crossings"
             yield e.id, run
+
+            # The engine-free lines through the two-variable value.
+            def lines(e=e):
+                d = e.diagram()
+                p = evaluate_laurent(d, budget)
+                failed = [name for name, ok in (
+                    ("parity", parity_check(p, d)), ("so1", so1_check(p)),
+                    ("so2", so2_check(p, d)),
+                    ("so4", so4_check(p, bracket_statesum(d))),
+                    ("z-degree", z_degree_check(p, d))) if not ok]
+                if failed:
+                    return False, "failed: " + ", ".join(failed)
+                return True, "parity, so1, so2, so4, z-degree"
+            yield f"{e.id}-lines", lines
         return
 
     if suite == "finite-type":
         for e in entries:
             k = e.n_flat
-            if not 1 <= k <= 4:
+            if not k:
                 continue
             # One diagram for all of the entry's cases, so that each case
             # replays the skein trees of its resolutions (see ``skein``).
@@ -164,6 +191,18 @@ def _suite_cases(args):
                         ok = finite_type_vanishing(n, m, sd, budget=budget)
                         return ok, f"k={k} n={n} m={m}"
                     yield f"{e.id}-n{n}-m{m}", run
+
+                # The top coefficient, at order k whatever --order says,
+                # against the so(N) weight system with N = n + 2.
+                def top(sd=sd, k=k, n=n):
+                    F = lambda d: evaluate_series(d, n, k, budget=budget)
+                    got = derived_invariant(F, sd).value.coeffs[k]
+                    want = 2 ** k * son_weight_system(sd, n + 2)
+                    detail = f"k={k} n={n} x^{k}: {got}"
+                    if got != GaussRational.of(want):
+                        return False, f"{detail}, weight system {want}"
+                    return True, detail
+                yield f"{e.id}-n{n}-top", top
         return
 
     if suite == "cross-ring":

@@ -19,13 +19,15 @@ with the least crossing of its piece.  Only the public constructor
 perfect matching, over flags, planarity); the three parsers and
 ``singular.flat_kink_unknot`` call it.  Every move, perturbation and
 flat kink builds its result, a diagram by construction, with the
-private ``FramedDiagram._make``.  A move that keeps ``mate`` (switching,
-resolving or flattening a crossing, adding or removing free loops)
-shares the parent's ``mate`` tuple and carries its faces, strands,
-pieces and skein plans, so each is computed at most once along such
-moves.  Removing a kink from a connected diagram leaves it connected,
-so that removal carries the pieces too; smoothings and bigon removals
-can split a diagram, and their results compute the pieces again.
+private ``FramedDiagram._make``.  A move hands its result only what a
+workload reads again.  A move that keeps ``mate`` (switching, resolving
+or flattening a crossing, adding or removing free loops) shares the
+parent's ``mate`` tuple, its piece labels and the family's skein plan
+store; the result computes its faces and strands afresh, as sharing
+them saved no measurable time on any benchmark workload.  Removing a
+kink from a connected diagram leaves it connected, so that removal
+carries the pieces too; smoothings and bigon removals can split a
+diagram, and their results compute the pieces again.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -60,17 +62,16 @@ the two walks is an automorphism of the piece, and the images of the
 starts already walked are skipped (pruning after Hopcroft-Wong).  Codes
 of the pieces are sorted and joined, and ``;loops:k`` records the free
 loops.  The code is not stored.  A one-piece diagram keeps its least
-walk (``_walk``), which seeds any later coding of it, and a move hands
-it to its result only when it can edit it exactly.  Removing
-a kink drops the kink's two tokens and numbers the crossings after it
-one lower, switching a crossing swaps the roles of its two tokens, and
-removing a free loop leaves it as it is.  Each gives the result's own
-walk from the same start, which then counts as walked, and the other
-starts stop as soon as they exceed it.  Removing a bigon or smoothing a
-crossing can change where a strand end resumes, or split the diagram,
-so their results are coded from scratch.  A walk costs O(n); the 121
-codes of a 120-kink chain step through 9,035 walk positions, and the
-closures ``s1^1`` to ``s1^60`` through 611,194.
+walk (``_walk``), which seeds any later coding of it.  Only a kink
+removal hands it on: dropping the kink's two tokens and numbering the
+crossings after it one lower gives the result's own walk from the same
+start, which then counts as walked, and the other starts stop as soon
+as they exceed it.  Every other move's result is coded from scratch.
+Removing a bigon or smoothing a crossing can change where a strand end
+resumes, or split the diagram; a walk edited through a switch or a
+free-loop removal saved no measurable time on any benchmark workload.
+A walk costs O(n); the 121 codes of a 120-kink chain step through 9,035
+walk positions, and the closures ``s1^1`` to ``s1^60`` through 611,194.
 
 Reductions.  ``detect_reduction`` returns the first of: a free loop, a
 split into the piece of crossing 0 and the rest, a kink (1-gon face)
@@ -311,12 +312,11 @@ class FramedDiagram:
     # -- local moves -------------------------------------------------------
 
     def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
-        """A diagram on this one's ``mate``, which also shares the caches
-        that depend on ``mate`` alone: pieces, strands and faces, and the
-        family's plan store."""
+        """A diagram on this one's ``mate``, which also shares its piece
+        labels and the family's plan store; its strands and faces are
+        computed again when read."""
         d = FramedDiagram._make(crossings, self.mate, free_loops)
-        d._pieces, d._components, d._faces, d._plans = \
-            self._pieces, self._components, self._faces, self._plans
+        d._pieces, d._plans = self._pieces, self._plans
         return d
 
     def _over(self, c: int) -> Optional[int]:
@@ -333,10 +333,7 @@ class FramedDiagram:
         over = self._over(c)
         if over is None:
             raise DiagramError("cannot switch a flat crossing")
-        d = self._with_over(c, 1 - over)
-        if self._walk is not None:
-            d._walk = _walk_switched(self._walk, c)
-        return d
+        return self._with_over(c, 1 - over)
 
     def resolve_flat(self, c: int, sign: int) -> "FramedDiagram":
         """Resolve a flat crossing; ``+1`` puts slots (0, 2) on top."""
@@ -652,20 +649,17 @@ def _canonical_code(d: FramedDiagram) -> str:
 
 
 # A diagram's ``_walk`` is a walk of its single piece, kept after the
-# code so that the moves can hand it on: ``(start, tokens, order,
+# code so that a kink removal can hand it on: ``(start, tokens, order,
 # first)``, where ``order`` lists the crossings by number and ``first``
-# their first-entry slots in that order.  Only the moves that keep one
-# piece hand it on: a kink removal, a switch and a free-loop removal.
-# Each function below maps a walk of the parent to one of the child, or
-# to ``None`` when the move deletes or switches the start's crossing.
+# their first-entry slots in that order.  No other move hands on a walk.
 
 
 def _walk_without_kink(walk: tuple, c: int) -> Optional[tuple]:
-    """The walk after the kink at crossing ``c`` is removed.  The kink's
-    two passes are consecutive tokens, and they are the only ones it
-    has, so the rest of the walk, the strand ends and the resumes keep
-    their order; the crossings numbered above the kink number one
-    lower."""
+    """The walk after the kink at crossing ``c`` is removed, or ``None``
+    when the walk starts at the kink.  The kink's two passes are
+    consecutive tokens, and they are the only ones it has, so the rest
+    of the walk, the strand ends and the resumes keep their order; the
+    crossings numbered above the kink number one lower."""
     start, toks, order, first = walk
     if start >> 2 == c:
         return None
@@ -676,18 +670,6 @@ def _walk_without_kink(walk: tuple, c: int) -> Optional[tuple]:
     toks = [t - 12 if t >= hi else t for t in toks if not lo <= t < hi]
     order = [x - 1 if x > c else x for x in order if x != c]
     return start, toks, order, first[:k] + first[k + 1:]
-
-
-def _walk_switched(walk: tuple, c: int) -> Optional[tuple]:
-    """The walk after crossing ``c`` is switched: its two tokens trade
-    the over and under roles, and nothing else changes."""
-    start, toks, order, first = walk
-    if start >> 2 == c:
-        return None
-    lo = 12 * order.index(c)
-    toks = [t if not lo <= t < lo + 12 else t + 4 if t < lo + 4 else t - 4
-            for t in toks]
-    return start, toks, order, first
 
 
 # ---------------------------------------------------------------------------
@@ -788,11 +770,7 @@ class Bookkeeping:
 
 def apply_reduction(d: FramedDiagram, move: Reduction) -> tuple[FramedDiagram, Bookkeeping]:
     if isinstance(move, FreeLoop):
-        if d.free_loops < 1:
-            raise DiagramError("stale move: no free loop")
-        reduced = d._same_mate(d.crossings, d.free_loops - 1)
-        reduced._walk = d._walk
-        return reduced, Bookkeeping("delta")
+        return d.add_free_loops(-1), Bookkeeping("delta")
     if isinstance(move, DisjointSplit):
         return move.d1, Bookkeeping("split", remainder=move.d2)
     if isinstance(move, R1Kink):

@@ -19,7 +19,15 @@ from fractions import Fraction
 from math import comb
 
 from .diagram import DiagramError, FramedDiagram, _sign
-from .ring import ONE, ZERO, GaussRational, LaurentPoly, PowerSeries
+from .ring import (
+    ONE,
+    ZERO,
+    GaussRational,
+    LaurentPoly,
+    NotAUnitError,
+    PowerSeries,
+    _power,
+)
 from .skein import evaluate_laurent
 
 MAX_STATESUM_CROSSINGS = 20
@@ -54,22 +62,17 @@ class BracketPoly:
                 out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
         return BracketPoly(out)
 
+    def inverse(self) -> "BracketPoly":
+        """The inverse of a unit: a monomial with coefficient ±1."""
+        if len(self.terms) != 1:
+            raise NotAUnitError("cannot invert a non-monomial")
+        ((d, c),) = self.terms.items()
+        if c not in (1, -1):
+            raise NotAUnitError("cannot invert a non-unit coefficient")
+        return BracketPoly({-d: c})
+
     def __pow__(self, k: int) -> "BracketPoly":
-        if k < 0:
-            if len(self.terms) != 1:
-                raise ArithmeticError("cannot invert a non-monomial")
-            ((d, c),) = self.terms.items()
-            if c not in (1, -1):
-                raise ArithmeticError("cannot invert a non-unit coefficient")
-            return BracketPoly({-d: c}) ** (-k)
-        out = BracketPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, BracketPoly.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BracketPoly) and self.terms == other.terms

@@ -266,8 +266,8 @@ class TestVerify:
         assert cases and all(not c["pass"] and c["detail"] == "mismatch at n=0"
                              for c in cases)
 
-    def test_finite_type_skips_more_than_four_flat_points(self, capsys,
-                                                          tmp_path):
+    def test_finite_type_checks_more_than_four_flat_points(self, capsys,
+                                                           tmp_path):
         from framedskein.corpus import _entry, default_corpus, write_corpus
 
         def cases(entries, path):
@@ -290,8 +290,14 @@ class TestVerify:
         assert len(flat) == 3
         without = cases(flat, tmp_path / "without")
         got = cases(flat[:1] + [five] + flat[1:], tmp_path / "with")
-        assert not any(c["id"].startswith("flat5") for c in got)
-        assert got == without and len(got) >= 3
+        mine = [c for c in got if c["id"].startswith("flat5-")]
+        assert [c["id"] for c in mine if "-m" in c["id"]] == \
+            [f"flat5-n{n}-m{m}" for n in (0, 1) for m in range(5)]
+        assert [c["id"] for c in mine if c["id"].endswith("-top")] == \
+            ["flat5-n0-top", "flat5-n1-top"]
+        assert all(c["pass"] for c in mine)
+        assert [c for c in got if c not in mine] == without
+        assert len(without) >= 3
 
 
 class TestCorpusCommand:

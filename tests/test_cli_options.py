@@ -118,11 +118,27 @@ def test_finite_type_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "finite-type", "--json")
     assert code == EXIT_OK
     cases = json.loads(out)["cases"]
-    assert len(cases) == 60 and all(c["pass"] for c in cases)
+    assert len(cases) == 84 and all(c["pass"] for c in cases)
     ids = {e.id for e in generate_corpus() if e.n_flat}
     for c in cases:
         entry, n, m = c["id"].rsplit("-", 2)
-        assert entry in ids and n in ("n0", "n1") and m[0] == "m"
+        assert entry in ids and n in ("n0", "n1")
+        assert m[0] == "m" or m == "top"
+    assert sum(c["id"].endswith("-top") for c in cases) == 2 * len(ids)
+
+
+def test_finite_type_suite_checks_the_top_coefficient(capsys, monkeypatch):
+    # Off by one, not negated: eight of the top coefficients are 0, and
+    # the negation of 0 would still pass.
+    weight = cli.son_weight_system
+    monkeypatch.setattr(cli, "son_weight_system",
+                        lambda sd, N: weight(sd, N) + 1)
+    code, out, _ = run(capsys, "verify", "--suite", "finite-type", "--json")
+    assert code == EXIT_FAIL
+    failed = [c for c in json.loads(out)["cases"] if not c["pass"]]
+    assert len(failed) == 24
+    assert all(c["id"].endswith("-top") and "weight system" in c["detail"]
+               for c in failed)
 
 
 def test_verify_text_report(capsys):
@@ -141,9 +157,20 @@ def test_oracle_suite_runs_under_the_node_budget(capsys):
     assert code == EXIT_FAIL
     cases = json.loads(out)["cases"]
     # Only the unknot fits in one skein-tree node.
-    assert [c["id"] for c in cases if c["pass"]] == ["unknot"]
+    assert [c["id"] for c in cases if c["pass"]] == ["unknot", "unknot-lines"]
     assert all("node budget of 1" in c["detail"]
                for c in cases if not c["pass"])
+
+
+def test_oracle_suite_names_the_line_that_fails(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "so2_check", lambda p, d: False)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--json")
+    assert code == EXIT_FAIL
+    cases = json.loads(out)["cases"]
+    failed = [c for c in cases if not c["pass"]]
+    assert len(failed) == len(cases) // 2
+    assert all(c["id"].endswith("-lines") and c["detail"] == "failed: so2"
+               for c in failed)
 
 
 def test_out_of_memory_in_verify_is_resource_error(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from framedskein.ring import (
     series_from_json,
     series_to_json,
 )
+from framedskein.oracle import BracketPoly
 from framedskein.ring import _IntPoly, _mul_terms
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -300,6 +301,10 @@ POWER_RINGS = {
     "_IntPoly": (
         _IntPoly.one(), _IntPoly({(3 << 32) - 2: -1}),
         [_IntPoly(), _IntPoly({0: 2}), _IntPoly({0: 1, 1: 1})]),
+    "BracketPoly": (
+        BracketPoly.one(), BracketPoly.monomial(-3, -1),
+        [BracketPoly(), BracketPoly.monomial(2, 2),
+         BracketPoly({2: -1, -2: -1})]),
 }
 
 
