@@ -20,11 +20,13 @@ perfect matching, over flags, planarity); the three parsers and
 ``singular.flat_kink_unknot`` call it.  Every move, perturbation and
 flat kink builds its result, a diagram by construction, with the
 private ``FramedDiagram._make``.  A move hands its result only what a
-workload reads again.  A move that keeps ``mate`` (switching, resolving
-or flattening a crossing, adding or removing free loops) shares the
-parent's ``mate`` tuple, its piece labels and the family's skein plan
-store; the result computes its faces and strands afresh, as sharing
-them saved no measurable time on any benchmark workload.  Removing a
+workload reads again.  Every move hands on its parent's skein plan
+store, so a lineage (a parsed or constructed diagram and all that moves
+build from it) shares one.  A move that keeps ``mate`` (switching,
+resolving or flattening a crossing, adding or removing free loops) also
+shares the parent's ``mate`` tuple and its piece labels; the result
+computes its faces and strands afresh, as sharing them saved no
+measurable time on any benchmark workload.  Removing a
 kink from a connected diagram leaves it connected, so that removal
 carries the pieces too; smoothings and bigon removals can split a
 diagram, and their results compute the pieces again.
@@ -103,7 +105,12 @@ class ParseError(ValueError):
 
 class FramedDiagram:
     """Immutable planar link diagram; all move operations return copies.
-    Its ``mate`` family shares one skein plan store, whatever built it."""
+
+    ``_plans`` is the skein plan store (see ``skein``).  It belongs to a
+    lineage: the public constructor, and so each parser, starts one, and
+    a diagram built from another by a move takes its parent's, so a
+    perturbed or reduced diagram's evaluation can reuse what another of
+    its lineage recorded."""
 
     __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_components",
                  "_pieces", "_faces", "_plans", "_walk")
@@ -126,16 +133,17 @@ class FramedDiagram:
         for over in crossings:
             if over not in (0, 1, None):
                 raise DiagramError(f"bad over flag {over!r}")
-        self._store(crossings, tuple(mate), free_loops)
+        self._store(crossings, tuple(mate), free_loops, {})
         if not self._is_planar():
             raise DiagramError("diagram is not planar (Euler count failed)")
 
     @classmethod
-    def _make(cls, crossings: tuple, mate: tuple[int, ...],
-              free_loops: int) -> "FramedDiagram":
+    def _make(cls, crossings: tuple, mate: tuple[int, ...], free_loops: int,
+              plans: Optional[dict] = None) -> "FramedDiagram":
         """The private constructor: a diagram from its stored form, with
         no checks.  Moves whose result is a diagram by construction use
-        it.
+        it, and pass their parent's plan store as ``plans``; without one
+        the diagram starts a lineage of its own.
 
         Callers build the tuples from lists, not generators: ``tuple()``
         of a generator starts at length 10 and is resized, so each one
@@ -143,15 +151,15 @@ class FramedDiagram:
         having been taken from it, and those lists grow until a full
         garbage collection, which raised peak memory."""
         d = object.__new__(cls)
-        d._store(crossings, mate, free_loops)
+        d._store(crossings, mate, free_loops, {} if plans is None else plans)
         return d
 
-    def _store(self, crossings, mate, free_loops) -> None:
+    def _store(self, crossings, mate, free_loops, plans: dict) -> None:
         self.crossings: tuple[Optional[int], ...] = crossings
         self.mate: tuple[int, ...] = mate
         self.free_loops = free_loops
         self._arcs = self._components = self._pieces = self._faces = None
-        self._walk, self._plans = None, {}
+        self._walk, self._plans = None, plans
 
     # -- structure ---------------------------------------------------------
 
@@ -313,10 +321,10 @@ class FramedDiagram:
 
     def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
         """A diagram on this one's ``mate``, which also shares its piece
-        labels and the family's plan store; its strands and faces are
-        computed again when read."""
-        d = FramedDiagram._make(crossings, self.mate, free_loops)
-        d._pieces, d._plans = self._pieces, self._plans
+        labels and plan store; its strands and faces are computed again
+        when read."""
+        d = FramedDiagram._make(crossings, self.mate, free_loops, self._plans)
+        d._pieces = self._pieces
         return d
 
     def _over(self, c: int) -> Optional[int]:
@@ -406,7 +414,7 @@ class FramedDiagram:
             lo = 4 * c
             mate = [m - 4 if m > lo else m for m in mate]
         return FramedDiagram._make(tuple(crossings), tuple(mate),
-                                   self.free_loops + loops)
+                                   self.free_loops + loops, self._plans)
 
     def add_kink(self, arc: tuple[HalfEdge, HalfEdge], sign: int) -> "FramedDiagram":
         """Insert a one-crossing curl of the given sign on an arc."""
@@ -430,7 +438,7 @@ class FramedDiagram:
         mate[a], mate[b], mate[p], mate[q] = b, a, i, j
         mate[i], mate[j] = p, q
         return FramedDiagram._make(self.crossings + (over,), tuple(mate),
-                                   self.free_loops)
+                                   self.free_loops, self._plans)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
         if self.free_loops + k < 0:
@@ -438,10 +446,12 @@ class FramedDiagram:
         return self._same_mate(self.crossings, self.free_loops + k)
 
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
+        """The two diagrams side by side, in this one's lineage."""
         off = 4 * self.n_crossings
         return FramedDiagram._make(self.crossings + other.crossings,
                                    self.mate + tuple([m + off for m in other.mate]),
-                                   self.free_loops + other.free_loops)
+                                   self.free_loops + other.free_loops,
+                                   self._plans)
 
     # -- descending traversal ---------------------------------------------
 
@@ -758,7 +768,7 @@ def _restrict(d: FramedDiagram, keep: list[int], free_loops: int) -> FramedDiagr
     mate = tuple([4 * renum[m >> 2] + (m & 3)
                   for c in keep for m in d.mate[4 * c:4 * c + 4]])
     return FramedDiagram._make(tuple([d.crossings[c] for c in keep]), mate,
-                               free_loops)
+                               free_loops, d._plans)
 
 
 @dataclass(frozen=True)
@@ -918,7 +928,8 @@ _BRAID_POWER = re.compile(r"[+-]?[0-9]+")
 
 def _parse_braid(text: str) -> FramedDiagram:
     # Words like "s1 s2^-1 s1"; the closure is taken, idle strands become
-    # free loops.
+    # free loops.  Text with no tokens is the empty diagram, as an empty
+    # PD or Gauss text is.
     letters: list[tuple[int, int]] = []
     width = 0
     for tok in text.split():
@@ -940,7 +951,7 @@ def _parse_braid(text: str) -> FramedDiagram:
         sign = 1 if power > 0 else -1
         letters.extend([(k, sign)] * abs(power))
     if not letters:
-        return FramedDiagram([], [], free_loops=max(width, 1) if width else 1)
+        return FramedDiagram([], [], free_loops=width)
 
     # Positive generator: the strand entering from the lower left passes
     # over.  Slots ccw from SW: 0=SW(in left), 1=SE(in right), 2=NE(out

@@ -110,7 +110,7 @@ def bracket_statesum(d: FramedDiagram) -> BracketPoly:
             f"state sum limited to {MAX_STATESUM_CROSSINGS} crossings")
     if n == 0:
         if d.free_loops == 0:
-            raise DiagramError("empty diagram")
+            raise DiagramError("empty diagram has no invariant value")
         return _DELTA ** (d.free_loops - 1)
 
     mate = d.mate

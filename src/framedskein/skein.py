@@ -21,20 +21,31 @@ with the same labels again under the same memo.
 
 The skein tree depends on the diagram and on the keys already in the
 memo, never on the ring.  Each evaluation without ``select`` therefore
-keeps the walk's record as a plan (see ``_Plan``).  Every diagram's
-``mate`` family (its switches, resolutions and flattenings) shares one
-plan store, whatever built it: a parser, ``add_kink``,
-``remove_crossings``, ``disjoint_union`` or a perturbation.  Plans live
-as long as one diagram of the family does.  A plan's key is the root's
-crossings and free loops and the memo's lineage: ``None`` for an empty
-memo, else the plan of the memo's last evaluation, valid only while the
-memo holds just what that evaluation left.  A plan is kept only when no
-key was put in during its walk.  When the key has a plan and there is no
-``on_expand``, the evaluation replays it: it checks the plan's node
-count against the budget and folds it, with no code, reduction or
-smoothing.  So the second ring, or the second ``n`` over a table of
-resolutions, costs a fraction of the first, and a replay leaves
-``MemoTable.codes`` empty.
+keeps the walk's record as a plan (see ``_Plan``) in the root's plan
+store.  A store belongs to a lineage: a parse or the public constructor
+starts one, and every diagram built from another by a move takes its
+parent's (see ``FramedDiagram``).  Plans live as long as one diagram of
+the lineage does.  A plan's key is the root's stored form
+``(crossings, mate, free_loops)`` and the memo's lineage: ``None`` for
+an empty memo, else the plan of the memo's last evaluation, valid only
+while the memo holds just what that evaluation left.  A plan is kept
+only when no key was put in during its walk.  When the key has a plan
+and there is no ``on_expand``, the evaluation replays it: it checks the
+plan's node count against the budget and folds it, with no code,
+reduction or smoothing.  So the second ring, or the second ``n`` over a
+table of resolutions, costs a fraction of the first, and a replay
+leaves ``MemoTable.codes`` empty.
+
+A plan kept from an empty memo whose root reduction chain meets no
+split also records its chain end, the first branch point or leaf on
+that chain, in the store's entry ``None``: under the chain end's form,
+the plan with the indexes of that visit and its kind and the node count
+before it.  A later first walk of the lineage with no ``on_expand`` and
+no ``select`` may splice that plan's rest in where its own root chain
+reaches the same form (see ``_walk``).  The rest was walked from an
+empty memo with nothing finished, so the splice is exact whenever none
+of its codes is in the memo.  A perturbed diagram whose reduction chain
+undoes the perturbation so walks only that chain.
 
 The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
@@ -324,6 +335,10 @@ class _Plan:
     visit order; a leaf's kind is followed by its writhe and component
     count.  ``nodes`` counts the visits that are not memo hits, and
     ``size`` is the memo's length after the evaluation.
+
+    A later walk of the lineage may append this plan's visits and ops
+    from its chain end on as its own (see ``_walk``); the chain-end
+    record points into the plan and copies none of it.
     """
 
     __slots__ = ("visits", "ops", "nodes", "size")
@@ -413,14 +428,20 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     # keys are known in an empty memo, and in one that holds just what
     # the plan in its lineage left: inserts only add keys, so that is
     # when its length is still the plan's size.
-    key = plan = None
+    store = d._plans
+    key = plan = end = None
     if select is None and (start == 0 or type(lineage) is _Plan
                            and lineage.size == start):
-        key = (d.crossings, d.free_loops, lineage if start else None)
-        plan = d._plans.get(key)
+        key = (d.crossings, d.mate, d.free_loops, lineage if start else None)
+        plan = store.get(key)
     replay = plan is not None and on_expand is None
-    visits, ops, nodes = ((plan.visits, plan.ops, plan.nodes) if replay
-                          else _walk(d, memo, budget, on_expand, select))
+    if replay:
+        visits, ops, nodes = plan.visits, plan.ops, plan.nodes
+    else:
+        ends = store.get(None) if on_expand is None and select is None \
+            else None
+        visits, ops, nodes, end = _walk(d, memo, budget, on_expand, select,
+                                        ends)
     if nodes > budget:
         raise BudgetExceededError(
             f"skein tree exceeded the node budget of {budget}")
@@ -428,26 +449,51 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     keep = key is not None and plan is None and len(memo) == start
     val = _fold(visits, ops, memo, eng, replay)
     if keep:
-        plan = d._plans[key] = _Plan(visits, ops, nodes, len(memo))
+        plan = store[key] = _Plan(visits, ops, nodes, len(memo))
+        if not start and end is not None:
+            form, i, k, before = end
+            store.setdefault(None, {})[form] = (plan, i, k, before)
     if plan is not None:
         memo.lineage = plan
     return eng.value(val)
 
 
-def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select):
-    """The skein tree of ``d`` as ``(visits, ops, nodes)`` (see
-    ``_Plan``), or its first ``budget + 1`` nodes.
+def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select,
+          ends: Optional[dict]):
+    """The skein tree of ``d`` as ``(visits, ops, nodes, end)``, or its
+    first ``budget + 1`` nodes.
+
+    ``visits``, ``ops`` and ``nodes`` are as in ``_Plan``.  ``end`` is the
+    chain end: ``(form, visit, op, nodes)`` of the first branch point or
+    leaf on the root's reduction chain, with the indexes of its visit
+    and kind and the node count before it; it is ``None`` when the chain
+    meets a split or a hit first.
 
     Children are visited in the order switched, A, B, or first piece,
     remainder.  Under a visit's children the stack holds its code, which
     marks the subtree finished when it is popped; a visit is a hit when
     its code is in the memo or finished, not when it is merely open.
+
+    ``ends`` maps the chain-end forms that the lineage's plans recorded
+    to ``(plan, visit, op, nodes)``, pointing into the plan.  While the
+    walk is on its root chain, a form that the code table misses is
+    looked up there.  On a match the walk takes the code from the plan,
+    and unless some code of the plan from that visit on is in the memo,
+    it appends the plan's rest instead of walking it.  That rest was
+    walked from an empty memo with nothing finished, so each of its hits
+    is inside it; nothing is finished on a root chain either, so with
+    none of its codes in the memo a walk from the form makes the same
+    visits.
     """
     codes = memo.codes
     visits: list[str] = []
     ops = array("i")
     finished: set[str] = set()
     nodes = 0
+    # Every visit so far was a reduction with one child; a hit on this
+    # chain ends the walk, as the stack then holds only codes.
+    chain = True
+    end = None
     stack: list = [d]
     while stack:
         cur = stack.pop()
@@ -457,7 +503,18 @@ def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select):
         form = (cur.crossings, cur.mate, cur.free_loops)
         code = codes.get(form)
         if code is None:
-            code = codes[form] = cur.canonical_code()
+            rec = ends.get(form) if chain and ends else None
+            if rec is None:
+                code = codes[form] = cur.canonical_code()
+            else:
+                plan, i, k, before = rec
+                code = codes[form] = plan.visits[i]
+                rest = plan.visits[i:]
+                if memo.keys().isdisjoint(rest):
+                    end = (form, len(visits), len(ops), nodes)
+                    visits += rest
+                    ops += plan.ops[k:]
+                    return visits, ops, nodes + plan.nodes - before, end
         visits.append(code)
         if code in memo or code in finished:
             ops.append(_HIT)
@@ -469,9 +526,15 @@ def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select):
         if red is not None:
             cur, bk = apply_reduction(cur, red)
             ops.append(_TAGS[bk.kind, bk.kink_sign])
-            stack += ((code, cur) if bk.remainder is None
-                      else (code, bk.remainder, cur))
+            if bk.remainder is None:
+                stack += (code, cur)
+            else:
+                stack += (code, bk.remainder, cur)
+                chain = False
             continue
+        if chain:
+            end = (form, len(visits) - 1, len(ops), nodes - 1)
+            chain = False
         bad = cur.bad_crossings()
         if not bad:
             ops.extend((_LEAF, cur.total_self_writhe(), cur.n_components()))
@@ -485,7 +548,7 @@ def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select):
             for child in (switched, a_sm, b_sm):
                 on_expand(cur, child)
         stack += (code, b_sm, a_sm, switched)
-    return visits, ops, nodes
+    return visits, ops, nodes, end
 
 
 def _fold(visits: list[str], ops: array, memo: MemoTable, eng: _Engine,

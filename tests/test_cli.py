@@ -115,6 +115,21 @@ class TestExitCodes:
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("input error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "series", "bracket"])
+    @pytest.mark.parametrize("text", ["", " \n\t "])
+    def test_empty_braid_word_is_input_error(self, capsys, command, text):
+        # as an empty PD or Gauss text is; no tokens is no diagram
+        code, out, err = run(capsys, command, "--text", text,
+                             "--format", "braid")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "input error: empty diagram has no invariant value\n"
+
+    def test_idle_strands_of_a_braid_word_are_free_loops(self, capsys):
+        code, out, _ = run(capsys, "eval", "--text", "s1^0",
+                           "--format", "braid")
+        assert code == EXIT_OK
+        assert out == run(capsys, "eval", "--text", "O\nO")[1]
+
     def test_budget_env_var_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("SKEIN_NODE_BUDGET", "lots")
         code, out, err = run(capsys, "eval", "--text", "O")

@@ -791,6 +791,67 @@ class TestCarriedCaches:
                 self.assert_carried(e)
 
 
+def reduced(word, pick=0):
+    """The diagram an ``apply_reduction`` step makes from ``word``'s
+    closure: the first piece (``pick`` 0) or the remainder (1)."""
+    def step(d):
+        out, bk = apply_reduction(d, detect_reduction(d))
+        return (out, bk.remainder)[pick]
+    return word, step
+
+
+STORE_MOVES = {
+    "switch": ("s1 s2 s1", lambda d: d.switch_crossing(1)),
+    "resolve": ("s1 s2 s1",
+                lambda d: d.make_flat(1).resolve_flat(1, -1)),
+    "make_flat": ("s1 s2 s1", lambda d: d.make_flat(1)),
+    "smooth A": (TREFOIL, lambda d: d.smooth(0, "A")),
+    "smooth B": (TREFOIL, lambda d: d.smooth(0, "B")),
+    "kink step": reduced("s1 s2"),
+    "R2 step": reduced("s1 s1^-1"),
+    "free-loop step": reduced("s1 s1 s1 s3^0"),
+    "split step, first piece": reduced("s1 s3"),
+    "split step, remainder": reduced("s1 s3", 1),
+    "add_kink": (TREFOIL, lambda d: d.add_kink(d.arcs[0], -1)),
+    "add_free_loops": (TREFOIL, lambda d: d.add_free_loops(2)),
+    "disjoint_union": (TREFOIL, lambda d: d.disjoint_union(braid(HOPF))),
+    "insert_flat_kink": (TREFOIL, lambda d: singular.insert_flat_kink(
+        d, d.arcs[0])[0]),
+    "poke": (TREFOIL, lambda d: perturb._poke(
+        d, *perturb._poke_sites(d)[0])),
+    "slide": ("s1 s2 s1", lambda d: perturb._slide(
+        d, perturb._moves(d)[1][0])),
+}
+
+
+class TestPlanStore:
+    """A diagram built from another by a move shares its plan store, so
+    an evaluation of one diagram of a lineage can reuse what another
+    recorded; only the parsers and the public constructor start one."""
+
+    @pytest.mark.parametrize("move", sorted(STORE_MOVES))
+    def test_every_move_shares_its_parents_store(self, move):
+        word, build = STORE_MOVES[move]
+        parent = braid(word)
+        child = build(parent)
+        assert child._plans is parent._plans
+
+    @pytest.mark.parametrize("fmt,text", [
+        ("pd", "X[1,2,2,1]"), ("gauss", "O1+ U1+"), ("braid", "s1"),
+        ("braid", "s1^0")])
+    def test_each_parse_starts_a_store(self, fmt, text):
+        a, b = parse_diagram(text, fmt), parse_diagram(text, fmt)
+        assert a._plans == {} and a._plans is not b._plans
+
+    def test_the_constructors_start_a_store(self):
+        d = braid(TREFOIL)
+        arcs = [((0, 1), (0, 2)), ((0, 3), (0, 0))]
+        made = [FramedDiagram([1], arcs), FramedDiagram([1], arcs),
+                FramedDiagram._make(d.crossings, d.mate, d.free_loops)]
+        assert len({id(x._plans) for x in made + [d]}) == 4
+        assert all(x._plans == {} for x in made)
+
+
 def reference_self_writhe(d, component):
     """Self-writhe by its definition: the signs of the crossings that
     only ``component`` passes."""

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedskein import diagram
+from framedskein import diagram, skein
 from framedskein.corpus import default_corpus
 from framedskein.diagram import DiagramError, parse_diagram
 from framedskein.oracle import laurent_to_series
+from framedskein.perturb import random_perturbation
 from framedskein.ring import (
     I,
     GaussRational,
@@ -584,7 +585,9 @@ class TestReplay:
             d = e.diagram()
             for params in RINGS:
                 assert outcome(d, params) == outcome(e.diagram(), params)
-            assert len(d._plans) == 1
+            # one plan, kept at the first ring and replayed at the others
+            assert [k for k in d._plans if k is not None] == \
+                [(d.crossings, d.mate, d.free_loops, None)]
 
     @pytest.mark.parametrize("word", C10_WORDS)
     def test_exact_on_criterion10_words(self, word):
@@ -772,8 +775,9 @@ class TestReplay:
         sequence = MemoTable()
         for x in (d, switched):  # the switch's plan has d's on its lineage
             evaluate(x, RINGS[0], memo=sequence)
-        first = d._plans[d.crossings, d.free_loops, None]
-        plan = d._plans[switched.crossings, switched.free_loops, first]
+        first = d._plans[d.crossings, d.mate, d.free_loops, None]
+        plan = d._plans[switched.crossings, switched.mate,
+                        switched.free_loops, first]
         want = evaluate(braid(word).switch_crossing(3), RINGS[0])
         foreign = outcome(braid(C10_WORDS[1]), RINGS[0])[1]
         for swap in (False, True):
@@ -838,3 +842,145 @@ class TestReplay:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+SPLICE_SEEDS = range(8)
+
+
+def perturbed_pairs(seeds=SPLICE_SEEDS):
+    """Each resolved corpus entry ``d`` with its perturbations ``p`` by
+    ``seeds`` at 1 to 3 steps; each pair is a lineage of its own."""
+    for e in default_corpus():
+        if e.n_flat:
+            continue
+        for seed in seeds:
+            for steps in (1, 2, 3):
+                d = e.diagram()
+                yield d, random_perturbation(d, random.Random(seed), steps)
+
+
+def fresh_copy(d):
+    """``d`` in a lineage of its own."""
+    return diagram.FramedDiagram._make(d.crossings, d.mate, d.free_loops)
+
+
+def form(d):
+    return d.crossings, d.mate, d.free_loops
+
+
+def root_plan(d):
+    """The plan of ``d``'s evaluation from an empty memo."""
+    plan = d._plans[(*form(d), None)]
+    return plan.visits, list(plan.ops), plan.nodes, plan.size
+
+
+class TestSplice:
+    """A first walk whose root chain reaches a chain end that an earlier
+    evaluation of its lineage recorded appends the recorded rest of that
+    plan instead of walking it.  It must give what a fresh diagram
+    gives: the value, the memo items in insertion order, the budget
+    error and the plan."""
+
+    @staticmethod
+    def counted_nodes(monkeypatch):
+        """A count of the nodes walked: a spliced walk detects no
+        reduction in the rest it appends."""
+        counts = [0]
+        detect = skein.detect_reduction
+
+        def counted(d):
+            counts[0] += 1
+            return detect(d)
+        monkeypatch.setattr(skein, "detect_reduction", counted)
+        return counts
+
+    @pytest.mark.parametrize("params", [RINGS[0], RINGS[2]])
+    def test_exact_on_perturbed_corpus(self, monkeypatch, params):
+        walked = self.counted_nodes(monkeypatch)
+        cases, short = 0, [0, 0]
+        for d, p in perturbed_pairs():
+            evaluate(d, params)
+            walked[0] = 0
+            got = outcome(p, params)
+            # p spliced, or came back to d's form and replayed d's plan
+            if walked[0] < root_plan(p)[2]:
+                short[form(p) == form(d)] += 1
+            q = fresh_copy(p)
+            assert got == outcome(q, params)
+            assert root_plan(p) == root_plan(q)
+            cases += 1
+        assert (cases, short) == (1224, [950, 60])
+
+    def test_budget_error_as_a_fresh_walk(self, monkeypatch):
+        # a spliced walk walks p's root chain at either budget
+        walked = self.counted_nodes(monkeypatch)
+        params, spliced = RINGS[0], 0
+        for d, p in perturbed_pairs(SPLICE_SEEDS[:2]):
+            if form(p) == form(d):
+                continue  # p replays d's plan
+            evaluate(d, params)
+            q = fresh_copy(p)
+            evaluate(q, params)
+            nodes = root_plan(q)[2]
+            counts = []
+            for budget in (nodes - 1, nodes):
+                walked[0] = 0
+                got = outcome(p, params, budget=budget)
+                counts.append(walked[0])
+                assert got == outcome(fresh_copy(p), params, budget=budget)
+            assert got[0] == outcome(q, params)[0]
+            if counts[1] < nodes:
+                assert counts[0] == counts[1]
+                spliced += 1
+            else:
+                assert counts == [nodes - 1, nodes]
+        assert spliced == 230
+
+    def test_codes_saved_on_the_perturbed_corpus(self, monkeypatch):
+        # the codes of evaluate_laurent(p) after evaluate_laurent(d),
+        # against those of a fresh copy of p
+        counts = TestCodeTable.counted_codes(monkeypatch, RINGS[0])
+        codes = [0, 0]
+        for d, p in perturbed_pairs():
+            evaluate_laurent(d)
+            for i, x in enumerate((p, fresh_copy(p))):
+                counts[0] = 0
+                evaluate_laurent(x)
+                codes[i] += counts[0]
+        assert codes == [7923, 12319]
+        assert codes[0] < codes[1]
+
+    def test_no_splice_with_on_expand_select_or_a_known_code(self,
+                                                             monkeypatch):
+        walked = self.counted_nodes(monkeypatch)
+        params, cases = RINGS[0], 0
+
+        def pick(cur):  # the walk's own choice
+            return cur.bad_crossings()[0]
+        for d, p in perturbed_pairs(SPLICE_SEEDS[:2]):
+            if form(p) == form(d):
+                continue  # p replays d's plan
+            evaluate(d, params)
+            walked[0] = 0
+            evaluate(p, params)
+            if walked[0] == root_plan(p)[2]:
+                continue  # p's root chain does not reach d's chain end
+            (plan, i, _, _), = d._plans[None].values()
+            # a code of the recorded rest, with its value
+            want = MemoTable()
+            evaluate(fresh_copy(d), params, memo=want)
+            k = plan.visits[(i + len(plan.visits)) // 2]
+            runs = (({"on_expand": lambda parent, child: None}, {}),
+                    ({"select": pick}, {}), ({}, {k: want[k]}))
+            for kw, known in runs:
+                got = []
+                for x in (p, fresh_copy(p)):
+                    memo = MemoTable()
+                    for key, value in known.items():
+                        memo[key] = value
+                    walked[0] = 0
+                    value = evaluate(x, params, memo=memo, **kw)
+                    got.append((walked[0], value, list(memo.items())))
+                assert got[0] == got[1]
+            cases += 1
+        assert cases == 230
