@@ -19,17 +19,9 @@ with the least crossing of its piece.  Only the public constructor
 perfect matching, over flags, planarity); the three parsers and
 ``singular.flat_kink_unknot`` call it.  Every move, perturbation and
 flat kink builds its result, a diagram by construction, with the
-private ``FramedDiagram._make``.  A move hands its result only what a
-workload reads again.  Every move hands on its parent's skein plan
-store, so a lineage (a parsed or constructed diagram and all that moves
-build from it) shares one.  A move that keeps ``mate`` (switching,
-resolving or flattening a crossing, adding or removing free loops) also
-shares the parent's ``mate`` tuple and its piece labels; the result
-computes its faces and strands afresh, as sharing them saved no
-measurable time on any benchmark workload.  Removing a
-kink from a connected diagram leaves it connected, so that removal
-carries the pieces too; smoothings and bigon removals can split a
-diagram, and their results compute the pieces again.
+private ``FramedDiagram._make``, whose docstring states what the
+result inherits from its parent.  Removing a kink from a connected
+diagram leaves it connected, so that removal carries the pieces too.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -106,11 +98,8 @@ class ParseError(ValueError):
 class FramedDiagram:
     """Immutable planar link diagram; all move operations return copies.
 
-    ``_plans`` is the skein plan store (see ``skein``).  It belongs to a
-    lineage: the public constructor, and so each parser, starts one, and
-    a diagram built from another by a move takes its parent's, so a
-    perturbed or reduced diagram's evaluation can reuse what another of
-    its lineage recorded."""
+    ``_plans`` is the skein plan store (see ``skein``), shared by a
+    lineage as ``_make`` says."""
 
     __slots__ = ("crossings", "mate", "free_loops", "_arcs", "_components",
                  "_pieces", "_faces", "_plans", "_walk")
@@ -139,11 +128,20 @@ class FramedDiagram:
 
     @classmethod
     def _make(cls, crossings: tuple, mate: tuple[int, ...], free_loops: int,
-              plans: Optional[dict] = None) -> "FramedDiagram":
+              parent: Optional["FramedDiagram"] = None) -> "FramedDiagram":
         """The private constructor: a diagram from its stored form, with
         no checks.  Moves whose result is a diagram by construction use
-        it, and pass their parent's plan store as ``plans``; without one
-        the diagram starts a lineage of its own.
+        it, and pass the diagram they moved as ``parent``.
+
+        This is the one place that decides what a result inherits.  It
+        takes the parent's skein plan store, so a lineage (a parsed or
+        constructed diagram and all that moves build from it) shares
+        one; without a parent the diagram starts a lineage of its own.
+        When it keeps the parent's ``mate`` tuple (switching, resolving
+        or flattening a crossing, adding or removing free loops) it also
+        takes the parent's piece labels, which depend on ``mate`` alone.
+        Faces and strands are computed afresh, as sharing them saved no
+        measurable time on any benchmark workload.
 
         Callers build the tuples from lists, not generators: ``tuple()``
         of a generator starts at length 10 and is resized, so each one
@@ -151,7 +149,12 @@ class FramedDiagram:
         having been taken from it, and those lists grow until a full
         garbage collection, which raised peak memory."""
         d = object.__new__(cls)
-        d._store(crossings, mate, free_loops, {} if plans is None else plans)
+        if parent is None:
+            d._store(crossings, mate, free_loops, {})
+        else:
+            d._store(crossings, mate, free_loops, parent._plans)
+            if mate is parent.mate:
+                d._pieces = parent._pieces
         return d
 
     def _store(self, crossings, mate, free_loops, plans: dict) -> None:
@@ -319,14 +322,6 @@ class FramedDiagram:
 
     # -- local moves -------------------------------------------------------
 
-    def _same_mate(self, crossings: tuple, free_loops: int) -> "FramedDiagram":
-        """A diagram on this one's ``mate``, which also shares its piece
-        labels and plan store; its strands and faces are computed again
-        when read."""
-        d = FramedDiagram._make(crossings, self.mate, free_loops, self._plans)
-        d._pieces = self._pieces
-        return d
-
     def _over(self, c: int) -> Optional[int]:
         if not 0 <= c < len(self.crossings):  # -1 is no crossing either
             raise DiagramError(f"no crossing {c}")
@@ -335,7 +330,8 @@ class FramedDiagram:
     def _with_over(self, c: int, over: Optional[int]) -> "FramedDiagram":
         new = list(self.crossings)
         new[c] = over
-        return self._same_mate(tuple(new), self.free_loops)
+        return FramedDiagram._make(tuple(new), self.mate, self.free_loops,
+                                   self)
 
     def switch_crossing(self, c: int) -> "FramedDiagram":
         over = self._over(c)
@@ -414,7 +410,7 @@ class FramedDiagram:
             lo = 4 * c
             mate = [m - 4 if m > lo else m for m in mate]
         return FramedDiagram._make(tuple(crossings), tuple(mate),
-                                   self.free_loops + loops, self._plans)
+                                   self.free_loops + loops, self)
 
     def add_kink(self, arc: tuple[HalfEdge, HalfEdge], sign: int) -> "FramedDiagram":
         """Insert a one-crossing curl of the given sign on an arc."""
@@ -438,20 +434,20 @@ class FramedDiagram:
         mate[a], mate[b], mate[p], mate[q] = b, a, i, j
         mate[i], mate[j] = p, q
         return FramedDiagram._make(self.crossings + (over,), tuple(mate),
-                                   self.free_loops, self._plans)
+                                   self.free_loops, self)
 
     def add_free_loops(self, k: int) -> "FramedDiagram":
         if self.free_loops + k < 0:
             raise DiagramError("negative free loop count")
-        return self._same_mate(self.crossings, self.free_loops + k)
+        return FramedDiagram._make(self.crossings, self.mate,
+                                   self.free_loops + k, self)
 
     def disjoint_union(self, other: "FramedDiagram") -> "FramedDiagram":
         """The two diagrams side by side, in this one's lineage."""
         off = 4 * self.n_crossings
         return FramedDiagram._make(self.crossings + other.crossings,
                                    self.mate + tuple([m + off for m in other.mate]),
-                                   self.free_loops + other.free_loops,
-                                   self._plans)
+                                   self.free_loops + other.free_loops, self)
 
     # -- descending traversal ---------------------------------------------
 
@@ -768,7 +764,7 @@ def _restrict(d: FramedDiagram, keep: list[int], free_loops: int) -> FramedDiagr
     mate = tuple([4 * renum[m >> 2] + (m & 3)
                   for c in keep for m in d.mate[4 * c:4 * c + 4]])
     return FramedDiagram._make(tuple([d.crossings[c] for c in keep]), mate,
-                               free_loops, d._plans)
+                               free_loops, d)
 
 
 @dataclass(frozen=True)
@@ -977,7 +973,14 @@ def _parse_braid(text: str) -> FramedDiagram:
         dangling[k] = (c, 3)
         dangling[k + 1] = (c, 2)
     arcs.extend((stub_out, first[pos]) for pos, stub_out in dangling.items())
-    try:
-        return FramedDiagram(crossings, arcs, width - len(dangling))
-    except DiagramError as e:
-        raise ParseError(str(e)) from e
+    # The constructor cannot refuse this.  Each letter's slots 0 and 1
+    # meet the dangling stub of their strand or become its first entry,
+    # and its slots 3 and 2 become dangling; the closure joins each
+    # dangling stub to its strand's first entry.  So every stub is
+    # matched once, always to a stub of the other pair of slots.  Over
+    # flags are 0 or 1, and each dangling stub has a strand of its own
+    # among the ``width``, so the free loop count is not negative.  The
+    # closure draws in the plane (strands going up, closing arcs nested
+    # on one side) with each crossing's slots counterclockwise SW, SE,
+    # NE, NW as above, so every piece passes the Euler count.
+    return FramedDiagram(crossings, arcs, width - len(dangling))

@@ -108,8 +108,8 @@ def _poke(d: FramedDiagram, e1: int, e2: int) -> FramedDiagram:
     for a, b in ((u, k + 1), (k + 3, k + 7), (k + 5, v),
                  (w, k + 4), (k + 6, k), (k + 2, x)):
         mate[a], mate[b] = b, a
-    return FramedDiagram._make(d.crossings + (1, 1), tuple(mate), d.free_loops,
-                               d._plans)
+    return FramedDiagram._make(d.crossings + (1, 1), tuple(mate),
+                               d.free_loops, d)
 
 
 def _moves(d: FramedDiagram) -> tuple[list[R2Pair], list[list[int]]]:
@@ -172,7 +172,7 @@ def _slide(d: FramedDiagram, face: list[int]) -> FramedDiagram:
     for e in face:
         p, q = e ^ 2, mate[e] ^ 2
         new[p], new[q] = q, p
-    return FramedDiagram._make(d.crossings, tuple(new), d.free_loops, d._plans)
+    return FramedDiagram._make(d.crossings, tuple(new), d.free_loops, d)
 
 
 def random_perturbation(d: FramedDiagram, rng: random.Random,

@@ -75,19 +75,19 @@ class GaussRational:
 
     @staticmethod
     def of(re: int | Fraction, im: int | Fraction = 0) -> "GaussRational":
-        return _gauss(Fraction(re), Fraction(im))
+        return GaussRational(re, im)
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return _gauss(self.re + other.re, self.im + other.im)
+        return GaussRational(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return _gauss(self.re - other.re, self.im - other.im)
+        return GaussRational(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussRational":
-        return _gauss(-self.re, -self.im)
+        return GaussRational(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return _gauss(
+        return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -96,7 +96,7 @@ class GaussRational:
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise NotAUnitError("division by zero Gaussian rational")
-        return _gauss(self.re / n, -self.im / n)
+        return GaussRational(self.re / n, -self.im / n)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inverse()
@@ -117,15 +117,6 @@ class GaussRational:
 
 
 _F0 = Fraction(0)
-
-
-def _gauss(re: Fraction, im: Fraction) -> GaussRational:
-    """``GaussRational(re, im)`` for two ``Fraction`` parts, which it
-    trusts: the dataclass's ``__init__`` and ``__post_init__`` are skipped."""
-    g = object.__new__(GaussRational)
-    fields = g.__dict__
-    fields["re"], fields["im"] = re, im
-    return g
 
 
 ZERO = GaussRational.of(0)
@@ -632,7 +623,7 @@ class _IntPoly(dict):
     def to_laurent(self) -> LaurentPoly:
         out = LaurentPoly()
         for key in sorted(self):
-            out.terms[_unpack(key)] = _gauss(Fraction(self[key]), _F0)
+            out.terms[_unpack(key)] = GaussRational(Fraction(self[key]), _F0)
         return out
 
     def t_series(self, order: int) -> PowerSeries:
@@ -646,7 +637,7 @@ class _IntPoly(dict):
             if m:
                 fact *= m
                 terms = [c * j for c, j in zip(terms, js)]
-            coeffs.append(_gauss(Fraction(sum(terms), fact), _F0))
+            coeffs.append(GaussRational(Fraction(sum(terms), fact), _F0))
         return PowerSeries(order, coeffs)
 
     @staticmethod

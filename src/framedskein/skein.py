@@ -20,32 +20,32 @@ memo's code table (``MemoTable.codes``) spares coding a diagram rebuilt
 with the same labels again under the same memo.
 
 The skein tree depends on the diagram and on the keys already in the
-memo, never on the ring.  Each evaluation without ``select`` therefore
-keeps the walk's record as a plan (see ``_Plan``) in the root's plan
-store.  A store belongs to a lineage: a parse or the public constructor
-starts one, and every diagram built from another by a move takes its
-parent's (see ``FramedDiagram``).  Plans live as long as one diagram of
-the lineage does.  A plan's key is the root's stored form
-``(crossings, mate, free_loops)`` and the memo's lineage: ``None`` for
-an empty memo, else the plan of the memo's last evaluation, valid only
-while the memo holds just what that evaluation left.  A plan is kept
-only when no key was put in during its walk.  When the key has a plan
-and there is no ``on_expand``, the evaluation replays it: it checks the
-plan's node count against the budget and folds it, with no code,
-reduction or smoothing.  So the second ring, or the second ``n`` over a
-table of resolutions, costs a fraction of the first, and a replay
-leaves ``MemoTable.codes`` empty.
+memo, never on the ring.  Each evaluation therefore keeps the walk's
+record as a plan (see ``_Plan``) in the root's plan store.  A store
+belongs to a lineage: a parse or the public constructor starts one, and
+every diagram built from another by a move takes its parent's (see
+``FramedDiagram._make``).  Plans live as long as one diagram of the
+lineage does.  A plan's key is the root's stored form ``(crossings,
+mate, free_loops)`` and the memo's lineage: ``None`` for an empty memo,
+else the plan of the memo's last evaluation, valid only while the memo
+holds just what that evaluation left.  A plan is kept only when no key
+was put in during its walk.  When the key has a plan and there is no
+``on_expand``, the evaluation replays it: it checks the plan's node
+count against the budget and folds it, with no code, reduction or
+smoothing.  So the second ring, or the second ``n`` over a table of
+resolutions, costs a fraction of the first, and a replay leaves
+``MemoTable.codes`` empty.
 
 A plan kept from an empty memo whose root reduction chain meets no
 split also records its chain end, the first branch point or leaf on
 that chain, in the store's entry ``None``: under the chain end's form,
 the plan with the indexes of that visit and its kind and the node count
-before it.  A later first walk of the lineage with no ``on_expand`` and
-no ``select`` may splice that plan's rest in where its own root chain
-reaches the same form (see ``_walk``).  The rest was walked from an
-empty memo with nothing finished, so the splice is exact whenever none
-of its codes is in the memo.  A perturbed diagram whose reduction chain
-undoes the perturbation so walks only that chain.
+before it.  A later first walk of the lineage with no ``on_expand`` may
+splice that plan's rest in where its own root chain reaches the same
+form (see ``_walk``).  The rest was walked from an empty memo with
+nothing finished, so the splice is exact whenever none of its codes is
+in the memo.  A perturbed diagram whose reduction chain undoes the
+perturbation so walks only that chain.
 
 The evaluation runs in integer rings (see :class:`ring._IntPoly`): in
 ``Z[a^±1, z^±1]`` for the Laurent ring, and in ``Z[t^±1]`` with
@@ -394,23 +394,21 @@ class MemoTable(dict):
 def evaluate(d: FramedDiagram, params: SkeinParams,
              budget: int = DEFAULT_NODE_BUDGET,
              memo: Optional[MemoTable] = None,
-             on_expand: Optional[Callable[[FramedDiagram, FramedDiagram], None]] = None,
-             select: Optional[Callable[[FramedDiagram], int]] = None):
+             on_expand: Optional[Callable[[FramedDiagram, FramedDiagram], None]] = None):
     """Value of the skein invariant on a resolved diagram.
 
     ``on_expand`` is called with (parent, child) at every skein-rewrite
-    edge; ``select`` can override the crossing choice (the result must be
-    independent of it, which the test-suite exercises).
+    edge.
     """
     _ensure_audited(params)
     return _evaluate_unchecked(d, params, budget=budget, memo=memo,
-                               on_expand=on_expand, select=select)
+                               on_expand=on_expand)
 
 
 def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
                         budget: int = DEFAULT_NODE_BUDGET,
                         memo: Optional[MemoTable] = None,
-                        on_expand=None, select=None):
+                        on_expand=None):
     if d.is_singular():
         raise DiagramError("cannot evaluate a diagram with flat crossings; "
                            "resolve them first")
@@ -430,18 +428,15 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     # when its length is still the plan's size.
     store = d._plans
     key = plan = end = None
-    if select is None and (start == 0 or type(lineage) is _Plan
-                           and lineage.size == start):
+    if start == 0 or type(lineage) is _Plan and lineage.size == start:
         key = (d.crossings, d.mate, d.free_loops, lineage if start else None)
         plan = store.get(key)
     replay = plan is not None and on_expand is None
     if replay:
         visits, ops, nodes = plan.visits, plan.ops, plan.nodes
     else:
-        ends = store.get(None) if on_expand is None and select is None \
-            else None
-        visits, ops, nodes, end = _walk(d, memo, budget, on_expand, select,
-                                        ends)
+        ends = store.get(None) if on_expand is None else None
+        visits, ops, nodes, end = _walk(d, memo, budget, on_expand, ends)
     if nodes > budget:
         raise BudgetExceededError(
             f"skein tree exceeded the node budget of {budget}")
@@ -458,7 +453,7 @@ def _evaluate_unchecked(d: FramedDiagram, params: SkeinParams,
     return eng.value(val)
 
 
-def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select,
+def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand,
           ends: Optional[dict]):
     """The skein tree of ``d`` as ``(visits, ops, nodes, end)``, or its
     first ``budget + 1`` nodes.
@@ -541,7 +536,7 @@ def _walk(d: FramedDiagram, memo: MemoTable, budget: int, on_expand, select,
             finished.add(code)
             continue
         ops.append(_BRANCH)
-        c = bad[0] if select is None else select(cur)
+        c = bad[0]
         switched = cur.switch_crossing(c)
         a_sm, b_sm = cur.smooth(c, "A"), cur.smooth(c, "B")
         if on_expand is not None:

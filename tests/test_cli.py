@@ -265,6 +265,21 @@ class TestVerify:
         assert code == EXIT_OK
         assert len(json.loads(out)["cases"]) >= 1
 
+    def test_cross_ring_skips_flat_entries(self, capsys, tmp_path):
+        from framedskein.corpus import default_corpus, write_corpus
+        entries = default_corpus()
+        flat = next(e for e in entries if e.n_flat)
+        resolved = [e for e in entries
+                    if not e.n_flat and e.n_crossings <= 4][:2]
+        write_corpus(resolved[:1] + [flat] + resolved[1:], tmp_path)
+        code, out, _ = run(capsys, "verify", "--suite", "cross-ring",
+                           "--corpus", str(tmp_path), "--json")
+        report = json.loads(out)
+        ids = [c["id"] for c in report["cases"]]
+        assert flat.id not in ids
+        assert ids == [e.id for e in resolved]
+        assert report["pass"] and code == EXIT_OK
+
 
     def test_cross_ring_mismatch_fails(self, capsys, monkeypatch, tmp_path):
         from framedskein.corpus import generate_corpus, write_corpus

@@ -815,6 +815,9 @@ STORE_MOVES = {
     "add_kink": (TREFOIL, lambda d: d.add_kink(d.arcs[0], -1)),
     "add_free_loops": (TREFOIL, lambda d: d.add_free_loops(2)),
     "disjoint_union": (TREFOIL, lambda d: d.disjoint_union(braid(HOPF))),
+    # ``t + ()`` may return ``t`` itself, so the result keeps ``mate``
+    "disjoint_union, empty right": (TREFOIL, lambda d: d.disjoint_union(
+        braid("s1^0"))),
     "insert_flat_kink": (TREFOIL, lambda d: singular.insert_flat_kink(
         d, d.arcs[0])[0]),
     "poke": (TREFOIL, lambda d: perturb._poke(
@@ -822,6 +825,11 @@ STORE_MOVES = {
     "slide": ("s1 s2 s1", lambda d: perturb._slide(
         d, perturb._moves(d)[1][0])),
 }
+
+
+# The moves whose result keeps its parent's ``mate`` tuple.
+SAME_MATE = {"switch", "resolve", "make_flat", "free-loop step",
+             "add_free_loops", "disjoint_union, empty right"}
 
 
 class TestPlanStore:
@@ -835,6 +843,21 @@ class TestPlanStore:
         parent = braid(word)
         child = build(parent)
         assert child._plans is parent._plans
+
+    @pytest.mark.parametrize("move", sorted(STORE_MOVES))
+    def test_pieces_are_shared_exactly_when_mate_is(self, move):
+        word, build = STORE_MOVES[move]
+        parent = braid(word)
+        parent._crossing_components()
+        child = build(parent)
+        assert (child.mate is parent.mate) == (move in SAME_MATE)
+        if move in SAME_MATE:
+            assert child._pieces is parent._pieces
+        elif move == "kink step":
+            # a kink removal from a connected diagram carries its pieces
+            assert child._pieces == [0] * child.n_crossings
+        else:
+            assert child._pieces is None
 
     @pytest.mark.parametrize("fmt,text", [
         ("pd", "X[1,2,2,1]"), ("gauss", "O1+ U1+"), ("braid", "s1"),

@@ -121,20 +121,28 @@ class TestSkeinRelation:
             assert evaluate_laurent(d.add_free_loops(k)) == \
                 params.delta ** k * v
 
-    def test_selection_independence(self):
-        import random
-        d = braid("s1 s2^-1 s1 s2^-1 s1")
-        expected = evaluate_laurent(d)
+    def test_selection_independence(self, monkeypatch):
+        # The walk switches the first bad crossing; a shuffled list makes
+        # it switch another at some branch points.
+        word = "s1 s2^-1 s1 s2^-1 s1"
+        expected = [evaluate_laurent(braid(word)),
+                    evaluate_series(braid(word), 1, 8)]
         rng = random.Random(5)
+        bad_crossings = diagram.FramedDiagram.bad_crossings
+        moved = [0]
 
-        def pick(cur):
-            bad = cur.bad_crossings()
-            return bad[rng.randrange(len(bad))]
-
+        def shuffled(d):
+            bad = bad_crossings(d)
+            first = bad[:1]
+            rng.shuffle(bad)
+            moved[0] += bad[:1] != first
+            return bad
+        monkeypatch.setattr(diagram.FramedDiagram, "bad_crossings", shuffled)
         for _ in range(5):
-            got = evaluate(d, default_params("laurent"), memo=MemoTable(),
-                           select=pick)
-            assert got == expected
+            # a fresh parse each time, so that no plan is replayed
+            assert [evaluate(braid(word), params)
+                    for params in (RINGS[0], RINGS[2])] == expected
+        assert moved[0] > 0
 
 
 class TestNormalizations:
@@ -630,7 +638,7 @@ class TestReplay:
             evaluate(d, params, memo=memo)
             assert (counts[0], len(memo), memo.codes) == (0, 683, {})
 
-    def test_on_expand_and_select_walk_the_diagrams(self, monkeypatch):
+    def test_on_expand_walks_the_diagrams(self, monkeypatch):
         counts = self.counted_codes(monkeypatch)
         word = C10_WORDS[1]
         d = braid(word)
@@ -641,22 +649,6 @@ class TestReplay:
         assert counts[0] > 0
         evaluate(braid(word), RINGS[1], on_expand=lambda p, c: fresh.append(c))
         assert len(edges) == len(fresh) == 3 * 145
-
-        def pick(cur):
-            return cur.bad_crossings()[-1]
-        sequence = MemoTable()  # a plan for the switch after d's plan
-        for x in (d, d.switch_crossing(0)):
-            evaluate(x, RINGS[0], memo=sequence)
-        memo, want = MemoTable(), MemoTable()
-        counts[0] = 0
-        evaluate(d, RINGS[2], memo=memo, select=pick)
-        assert counts[0] > 0
-        # the memo now holds another tree's keys, so nothing replays on it
-        counts[0] = 0
-        got = outcome(d.switch_crossing(0), RINGS[2], memo)
-        assert counts[0] > 0
-        evaluate(braid(word), RINGS[2], memo=want, select=pick)
-        assert got == outcome(braid(word).switch_crossing(0), RINGS[2], want)
 
     def test_budget_error_and_foreign_keys_fall_back(self, monkeypatch):
         counts = self.counted_codes(monkeypatch)
@@ -950,13 +942,9 @@ class TestSplice:
         assert codes == [7923, 12319]
         assert codes[0] < codes[1]
 
-    def test_no_splice_with_on_expand_select_or_a_known_code(self,
-                                                             monkeypatch):
+    def test_no_splice_with_on_expand_or_a_known_code(self, monkeypatch):
         walked = self.counted_nodes(monkeypatch)
         params, cases = RINGS[0], 0
-
-        def pick(cur):  # the walk's own choice
-            return cur.bad_crossings()[0]
         for d, p in perturbed_pairs(SPLICE_SEEDS[:2]):
             if form(p) == form(d):
                 continue  # p replays d's plan
@@ -971,7 +959,7 @@ class TestSplice:
             evaluate(fresh_copy(d), params, memo=want)
             k = plan.visits[(i + len(plan.visits)) // 2]
             runs = (({"on_expand": lambda parent, child: None}, {}),
-                    ({"select": pick}, {}), ({}, {k: want[k]}))
+                    ({}, {k: want[k]}))
             for kw, known in runs:
                 got = []
                 for x in (p, fresh_copy(p)):
